@@ -44,6 +44,7 @@ from .harness import (
     adaptive_random_walk,
     gaussian_product_oracle,
     partition_rows,
+    run_chains,
     sample_gamma_posterior,
     sample_logistic_posterior,
     simulate_gamma_data,
@@ -97,6 +98,7 @@ __all__ = [
     "simulate_gamma_data",
     "sample_gamma_posterior",
     "partition_rows",
+    "run_chains",
     "gaussian_product_oracle",
     "adaptive_random_walk",
     "ChainCombineError",

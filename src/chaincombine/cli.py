@@ -3,7 +3,8 @@
 Three subcommands cover the pipeline:
 
 * ``harness``  - simulate data, shard it, run one chain per shard plus a
-  full-data chain, and write the bundle + manifests.
+  full-data chain (in parallel worker processes), and write the bundle
+  + manifests.
 * ``combine``  - read a bundle manifest and write combined samples.
 * ``metric``   - score combined samples against a full-data chain with
   per-parameter relative L2 distances.
@@ -34,11 +35,9 @@ from .errors import ChainCombineError, DimensionMismatch, NumericalError
 from .harness import (
     MhConfig,
     partition_rows,
-    sample_gamma_posterior,
-    sample_logistic_posterior,
+    run_chains,
     simulate_gamma_data,
     simulate_logistic_data,
-    split_logistic_rows,
 )
 from .io import FLOAT_FORMAT, read_bundle, read_samples, write_bundle, write_samples
 
@@ -204,32 +203,22 @@ def run_harness(args):
     if args.model == "logistic":
         problem = simulate_logistic_data(args.n, LOGISTIC_BETA, seed=args.seed)
         rows = problem.data_matrix()
-
-        def sample(shard_rows, seed):
-            x, y = split_logistic_rows(shard_rows)
-            cfg = MhConfig(iterations=args.iters, burnin=args.burnin,
-                           seed=seed, thin=args.thin)
-            return sample_logistic_posterior(x, y, cfg)
-
         extra = {"beta_true": list(problem.beta_true)}
     else:
         problem = simulate_gamma_data(args.n, args.alpha, args.beta, seed=args.seed)
         rows = problem.y[:, None]
-
-        def sample(shard_rows, seed):
-            cfg = MhConfig(iterations=args.iters, burnin=args.burnin,
-                           seed=seed, thin=args.thin)
-            return sample_gamma_posterior(shard_rows[:, 0], cfg)
-
         extra = {"alpha_true": problem.alpha_true, "beta_true": problem.beta_true}
 
     shards = partition_rows(rows, args.shards, seed=args.seed + 1)
-    chains = [sample(shard, args.seed + 2 + m) for m, shard in enumerate(shards)]
+    configs = [
+        MhConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed + 2 + m,
+                 thin=args.thin)
+        for m in range(args.shards + 1)
+    ]
+    *chains, full_chain = run_chains(args.model, [*shards, rows], configs)
     bundle = validate_bundle(np.stack(chains, axis=2))
     manifest_path = out_dir / "bundle.json"
     write_bundle(bundle, manifest_path, seed=args.seed)
-
-    full_chain = sample(rows, args.seed + 2 + args.shards)
     full_path = out_dir / "full_chain.csv"
     write_samples(full_path, CombinedSamples(full_chain))
 

@@ -6,13 +6,17 @@ reparameterized in terms of its mean and standard deviation (which
 decorrelates the shape and rate) with wide uniform priors.  Both are
 sampled with an adaptive random-walk Metropolis chain whose proposal
 scale is tuned during burn-in only, so the retained draws come from a
-fixed kernel.
+fixed kernel.  :func:`run_chains` samples the shards and the full data
+in parallel worker processes, since the chains never communicate.
 
 The exact product-of-Gaussians moments live here too; they are the
 independent oracle the combiners are tested against.
 """
 
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,12 +268,20 @@ def adaptive_random_walk(log_density, start, config, support=None, proposal_chol
 
 
 def _logistic_log_likelihood(x, y):
-    """Closure returning the flat-prior log posterior for coefficients."""
-    yx = y @ x  # sufficient statistic for the linear term
+    """Closure returning the flat-prior log posterior for coefficients.
+
+    The logits are taken against a C-contiguous copy of x transposed, so
+    the value does not depend on the layout of ``x``, and log(1 + e^z)
+    is summed as the stable softplus max(z, 0) + log1p(e^-|z|), which
+    is several times faster than ``np.logaddexp(0, z)``.
+    """
+    xt = np.ascontiguousarray(x.T)
+    yx = xt @ y  # sufficient statistic for the linear term
 
     def log_density(beta):
-        logits = x @ beta
-        return yx @ beta - np.logaddexp(0.0, logits).sum()
+        logits = beta @ xt
+        softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+        return yx @ beta - softplus.sum()
 
     return log_density
 
@@ -356,3 +368,61 @@ def sample_gamma_posterior(y, config, return_mean_sd=False):
     if return_mean_sd:
         return alpha_beta, draws
     return alpha_beta
+
+
+def _sample_rows(model, rows, config):
+    """One chain on one block of data rows, in a worker process.
+
+    Returns the draws with the warnings the chain raised, so that the
+    parent can re-issue them.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if model == "logistic":
+            x, y = split_logistic_rows(rows)
+            draws = sample_logistic_posterior(x, y, config)
+        else:
+            draws = sample_gamma_posterior(rows[:, 0], config)
+    return draws, [w.message for w in caught]
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_chains(model, blocks, configs):
+    """Sample one chain per block of data rows, in parallel processes.
+
+    ``model`` is ``"logistic"`` (rows ``[y, x_1, ..., x_d]``, as
+    :meth:`LogisticProblem.data_matrix` gives them) or ``"gamma"``
+    (one-column rows ``[y]``), and ``configs[k]`` drives the chain on
+    ``blocks[k]``.  The chains share nothing, so they run in forked
+    worker processes, one per usable core at most, largest block first:
+    the full-data chain is the longest.  Each chain is seeded by its own
+    config, so the draws equal a one-chain-at-a-time loop bit for bit,
+    whatever the core count.  An error raised in a worker reaches the
+    caller with its own type, and the chains' warnings are re-issued
+    here in chain order.  Returns the (d, T) draws in input order.
+    """
+    if model not in ("logistic", "gamma"):
+        raise ValueError(f"unknown model {model!r}")
+    if len(blocks) != len(configs):
+        raise ValueError("need one config per block")
+    blocks = [np.asarray(block, dtype=float) for block in blocks]
+    order = sorted(range(len(blocks)), key=lambda k: -blocks[k].shape[0])
+    # Fork, not spawn: the pool lives for one call, and a spawned worker
+    # would pay a fresh numpy/scipy import on every call.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    workers = min(_usable_cores(), len(blocks))
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = {k: pool.submit(_sample_rows, model, blocks[k], configs[k]) for k in order}
+        results = [futures[k].result() for k in range(len(blocks))]
+    chains = []
+    for draws, caught in results:
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+        chains.append(draws)
+    return chains

@@ -1,9 +1,12 @@
 """Data simulators, shard samplers, partitioning and the product oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chaincombine import (
+    DegenerateChain,
     MhConfig,
     NonConvergenceWarning,
     NonPositiveData,
@@ -12,13 +15,14 @@ from chaincombine import (
     adaptive_random_walk,
     gaussian_product_oracle,
     partition_rows,
+    run_chains,
     sample_gamma_posterior,
     sample_logistic_posterior,
     simulate_gamma_data,
     simulate_logistic_data,
     split_logistic_rows,
 )
-from chaincombine.harness import _gamma_support, _logistic_mode
+from chaincombine.harness import _gamma_support, _logistic_log_likelihood, _logistic_mode
 
 BETA_REFERENCE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
 
@@ -92,6 +96,92 @@ class TestLogisticPosterior:
         a, _ = adaptive_random_walk(log_target, np.zeros(2), config, proposal_chol=chol)
         b, _ = adaptive_random_walk(shifted, np.zeros(2), config, proposal_chol=chol)
         np.testing.assert_array_equal(a, b)
+
+
+class TestLogisticLogDensity:
+    @staticmethod
+    def reference(x, y, beta):
+        return y @ x @ beta - np.logaddexp(0.0, x @ beta).sum()
+
+    def test_matches_logaddexp_at_extreme_logits(self):
+        rng = np.random.default_rng(40)
+        n = 401
+        x = np.column_stack([np.linspace(-800.0, 800.0, n), rng.standard_normal((n, 2))])
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        log_density = _logistic_log_likelihood(x, y)
+        for beta in ([1.0, 0.3, -0.2], [-1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.01, 2.0, -1.0]):
+            beta = np.array(beta)
+            np.testing.assert_allclose(
+                log_density(beta), self.reference(x, y, beta), rtol=1e-12
+            )
+        # Where the naive log(1 + e^z) overflows, the stable form stays finite.
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.log1p(np.exp(x[:, 0])).sum())
+        assert np.isfinite(log_density(np.array([1.0, 0.0, 0.0])))
+
+    def test_strided_rows_match_contiguous_copy(self):
+        problem = simulate_logistic_data(500, BETA_REFERENCE, seed=41)
+        x, y = split_logistic_rows(problem.data_matrix())
+        assert not x.flags.c_contiguous
+        beta = BETA_REFERENCE + 0.1
+        strided = _logistic_log_likelihood(x, y)(beta)
+        contiguous = _logistic_log_likelihood(np.ascontiguousarray(x), y)(beta)
+        assert strided == contiguous
+
+
+class TestRunChains:
+    @staticmethod
+    def configs(count, **kwargs):
+        return [MhConfig(iterations=200, burnin=100, seed=50 + k, **kwargs)
+                for k in range(count)]
+
+    def test_logistic_matches_serial_bitwise(self):
+        rows = simulate_logistic_data(3000, BETA_REFERENCE, seed=42).data_matrix()
+        blocks = [*partition_rows(rows, 3, seed=43), rows]
+        configs = self.configs(len(blocks), thin=2)
+        chains = run_chains("logistic", blocks, configs)
+        for block, config, chain in zip(blocks, configs, chains):
+            x, y = split_logistic_rows(block)
+            np.testing.assert_array_equal(chain, sample_logistic_posterior(x, y, config))
+
+    def test_gamma_matches_serial_bitwise(self):
+        rows = simulate_gamma_data(3000, 4.0, 2.0, seed=44).y[:, None]
+        blocks = [*partition_rows(rows, 4, seed=45), rows]
+        configs = self.configs(len(blocks))
+        chains = run_chains("gamma", blocks, configs)
+        for block, config, chain in zip(blocks, configs, chains):
+            np.testing.assert_array_equal(chain, sample_gamma_posterior(block[:, 0], config))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0], [-2.0], [3.0]]), NonPositiveData),
+        (np.full((10, 1), 2.5), DegenerateChain),
+    ])
+    def test_worker_error_keeps_its_type(self, bad, error):
+        good = simulate_gamma_data(500, 4.0, 2.0, seed=46).y[:, None]
+        with pytest.raises(error) as caught:
+            run_chains("gamma", [good, bad], self.configs(2))
+        assert caught.value.exit_code == 2
+
+    def test_warnings_reissued_in_chain_order(self):
+        # A 0.95 acceptance target drives the post-burn-in rate above the
+        # healthy range, so every chain warns.
+        rows = simulate_gamma_data(2000, 4.0, 2.0, seed=47).y[:, None]
+        blocks = partition_rows(rows, 3, seed=48)
+        configs = self.configs(len(blocks), target_accept=0.95)
+        with pytest.warns(NonConvergenceWarning) as serial:
+            for block, config in zip(blocks, configs):
+                sample_gamma_posterior(block[:, 0], config)
+        with pytest.warns(NonConvergenceWarning) as parallel:
+            run_chains("gamma", blocks, configs)
+        assert len(serial) == len(blocks)
+        assert [str(w.message) for w in parallel] == [str(w.message) for w in serial]
+
+    def test_warning_filter_error_raises_in_caller(self):
+        rows = simulate_gamma_data(1000, 4.0, 2.0, seed=49).y[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonConvergenceWarning)
+            with pytest.raises(NonConvergenceWarning):
+                run_chains("gamma", [rows], self.configs(1, target_accept=0.95))
 
 
 class TestSimulateGamma:
