@@ -18,7 +18,6 @@ from .core import (
     validate_bundle,
 )
 from .combiners import (
-    DpeChainState,
     DpeConfig,
     MachineSummary,
     PooledSummary,
@@ -76,7 +75,6 @@ __all__ = [
     "MachineSummary",
     "PooledSummary",
     "DpeConfig",
-    "DpeChainState",
     "sample_average",
     "consensus_independent",
     "consensus_covariance",

@@ -10,17 +10,15 @@ Metropolis-within-Gibbs chain over kernel mixture components.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import CombinedSamples
 from .errors import DegenerateChain, NonPositiveBandwidth, SingularCovariance
-from .gaussians import diag_mvn_logpdf, mvn_logpdf_chol, spd_cholesky, spd_inverse
+from .gaussians import spd_inverse
 
 __all__ = [
     "MachineSummary",
     "PooledSummary",
     "DpeConfig",
-    "DpeChainState",
     "sample_average",
     "consensus_independent",
     "consensus_covariance",
@@ -88,24 +86,6 @@ class DpeConfig:
         if not np.all(np.isfinite(bandw)) or np.any(bandw <= 0.0):
             raise NonPositiveBandwidth(f"bandwidths must be positive, got {bandw}")
         return bandw
-
-
-@dataclass
-class DpeChainState:
-    """Snapshot of the mixture-component chain inside the DPE sampler.
-
-    ``indices`` holds one selected draw index per machine; everything
-    else is derived from it: the mean of the selected draws, the two log
-    mixture-weight pieces, and the Gaussian the output draw came from.
-    """
-
-    indices: np.ndarray         # (M,) int, each in [0, T)
-    theta_bar: np.ndarray       # (d,) mean of the selected draws
-    log_w: float                # log of the kernel clustering weight
-    log_weight: float           # log of the full mixture weight
-    component_mean: np.ndarray  # (d,)
-    component_cov: np.ndarray   # (d, d)
-    bandwidth: np.ndarray       # (d,) bandwidth the weights were computed at
 
 
 def _weighted_mean_over_machines(values, weights):
@@ -227,81 +207,118 @@ def bandwidth_schedule(step, d, bandw, anneal=True):
     return bandw * float(step) ** (-1.0 / (4.0 + d))
 
 
-class _DpeContext:
-    """Precomputed quantities the DPE sampler evaluates weights against."""
+def _bandwidth_scales(T, d, anneal):
+    """``s_t = (h_t / bandw)**2`` for the bandwidths ``h_t`` that
+    :func:`bandwidth_schedule` gives at steps t = 1..T."""
+    if not anneal:
+        return np.ones(T)
+    return np.arange(1, T + 1, dtype=float) ** (-2.0 / (4.0 + d))
 
-    def __init__(self, bundle):
-        d, T, M = bundle.d, bundle.T, bundle.M
-        self.values = bundle.values
-        self.d, self.T, self.M = d, T, M
-        summaries = [compute_machine_summary(bundle, m) for m in range(M)]
-        self.precisions = [spd_inverse(s.covariance) for s in summaries]
-        self.pooled_prec = np.sum(self.precisions, axis=0)
-        self.pooled_cov = spd_inverse(self.pooled_prec)
-        self.prec_mean = np.sum(
-            [p @ s.mean for p, s in zip(self.precisions, summaries)], axis=0
+
+class _DpeBasis:
+    """Every machine's draws in the one basis that serves every bandwidth.
+
+    With ``D = diag(bandw**2 / M)`` the squared bandwidths at iteration t
+    are ``M * s_t * D`` for a scalar ``s_t``.  The widened compatibility
+    covariance ``Sigma* + s_t D`` and the component precision
+    ``Sigma*^-1 + D^-1 / s_t`` then both diagonalize in the eigenbasis
+    ``U, lam`` of ``D^-1/2 Sigma* D^-1/2``, so one eigendecomposition
+    serves the whole chain.  Draw ``x`` of machine ``m`` is stored as
+    ``z = U^T D^-1/2 (x - mu*)``.
+    """
+
+    def __init__(self, bundle, bandw):
+        summaries = [compute_machine_summary(bundle, m) for m in range(bundle.M)]
+        pooled = compute_pooled_summary(summaries)
+        self.M = bundle.M
+        self.mean = pooled.pooled_mean
+        self.scale = bandw / np.sqrt(bundle.M)  # D^1/2
+        self.eigval, self.eigvec = np.linalg.eigh(
+            pooled.pooled_covariance / np.outer(self.scale, self.scale)
         )
-        self.pooled_mean = self.pooled_cov @ self.prec_mean
-        # log N(draw | machine mean, machine covariance) for every draw,
-        # the denominator of every mixture weight; shape (T, M).
-        self.log_fit = np.empty((T, M))
+        dev = (bundle.values - self.mean[:, None, None]) / self.scale[:, None, None]
+        self.z = np.einsum("dtm,de->tme", dev, self.eigvec)  # (T, M, d)
+        self.z_sq = np.einsum("tme,tme->tm", self.z, self.z)
+        # log N(draw | machine mean, machine covariance) up to a per-machine
+        # constant, shape (T, M): the denominator of every mixture weight.
+        # The constants cancel, since every component selects one draw per
+        # machine.  An einsum, not a triangular solve over all T draws:
+        # OpenBLAS's threaded solve leaves a worker spinning for about
+        # 0.1 s, which slows whatever single-threaded work follows.
+        self.log_fit = np.empty((bundle.T, bundle.M))
         for m, summary in enumerate(summaries):
-            chol = spd_cholesky(summary.covariance)
-            self.log_fit[:, m] = mvn_logpdf_chol(
-                self.values[:, :, m].T, summary.mean, chol
+            dev_m = bundle.values[:, :, m] - summary.mean[:, None]
+            prec = spd_inverse(summary.covariance)
+            self.log_fit[:, m] = -0.5 * np.einsum("dt,de,et->t", dev_m, prec, dev_m)
+
+    def sums(self, indices):
+        """Running sums ``(sum z, sum |z|^2, sum log_fit)`` of the draws
+        that ``indices`` (one per machine) select."""
+        cols = np.arange(self.M)
+        return (
+            self.z[indices, cols].sum(axis=0),
+            float(self.z_sq[indices, cols].sum()),
+            float(self.log_fit[indices, cols].sum()),
+        )
+
+    def weight_terms(self, s):
+        """Coefficients ``(k, c)`` of :meth:`log_weight` at scale(s) ``s``.
+
+        The kernel term ``-(sum|z|^2 - |sum z|^2 / M) / (2 M s)`` plus the
+        compatibility term ``-1/2 sum_i zbar_i^2 / (lam_i + s)`` equals
+        ``(sum z)^2 . k - c sum|z|^2`` with ``c = 1 / (2 M s)`` and
+        ``k = lam / (2 M^2 s (lam + s))``.  Works on a scalar or a (T,)
+        array of scales.
+        """
+        s = np.asarray(s, dtype=float)[..., None]
+        c = 0.5 / (self.M * s[..., 0])
+        k = self.eigval / (2.0 * self.M**2 * s * (self.eigval + s))
+        return k, c
+
+    @staticmethod
+    def log_weight(sums, k, c):
+        """Log mixture weight of the component with running ``sums``, up to
+        terms that depend on the bandwidth alone and cancel in a ratio."""
+        sum_z, sum_q, sum_f = sums
+        return (sum_z * sum_z) @ k - c * sum_q - sum_f
+
+    def run_chain(self, s, indices, machines, proposals, log_u):
+        """Walk the mixture-component index chain.
+
+        Step t re-proposes the index of machine ``machines[t]`` as
+        ``proposals[t]`` and accepts when ``log_u[t]`` lies below the log
+        weight ratio at scale ``s[t]``.  ``indices`` holds the starting
+        index per machine and is updated in place.  Returns the (T, d)
+        ``sum z`` after every step and the final running sums.
+        """
+        z, z_sq, log_fit, log_weight = self.z, self.z_sq, self.log_fit, self.log_weight
+        k, c = self.weight_terms(s)
+        cur = self.sums(indices)
+        history = np.empty((len(s), z.shape[2]))
+        steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c.tolist())
+        for t, (m, p, lu, k_t, c_t) in enumerate(steps):
+            i = indices[m]
+            prop = (
+                cur[0] + (z[p, m] - z[i, m]),
+                cur[1] + (z_sq[p, m] - z_sq[i, m]),
+                cur[2] + (log_fit[p, m] - log_fit[i, m]),
             )
+            if lu < log_weight(prop, k_t, c_t) - log_weight(cur, k_t, c_t):
+                indices[m] = p
+                cur = prop
+            history[t] = cur[0]
+        return history, cur
 
-    def selected_draws(self, indices):
-        return self.values[:, indices, np.arange(self.M)]
-
-    def log_kernel_weight(self, selected, theta_bar, hsq):
-        """Log product of Gaussian kernels tying the selected draws together."""
-        return float(diag_mvn_logpdf(selected.T, theta_bar, hsq).sum())
-
-    def log_mixture_weight(self, selected, theta_bar, log_fit_sum, hsq, chol_w):
-        """Log mixture weight of one component at bandwidths sqrt(hsq)."""
-        log_w = self.log_kernel_weight(selected, theta_bar, hsq)
-        log_compat = mvn_logpdf_chol(theta_bar, self.pooled_mean, chol_w)
-        return log_w, log_w + log_compat - log_fit_sum
-
-    def compat_cholesky(self, hsq):
-        """Factor of pooled covariance widened by the kernel term."""
-        widened = self.pooled_cov + np.diag(hsq / self.M)
-        return spd_cholesky(widened)
-
-    def component_gaussian(self, theta_bar, hsq):
-        """Mean and precision factor of the output-draw Gaussian."""
-        prec = self.pooled_prec + np.diag(self.M / hsq)
-        chol = np.linalg.cholesky(prec)
-        rhs = (self.M / hsq) * theta_bar + self.prec_mean
-        half = solve_triangular(chol, rhs, lower=True)
-        mean = solve_triangular(chol.T, half, lower=False)
-        return mean, chol
-
-    def state_from_indices(self, indices, bandwidths):
-        """Recompute a full chain state from scratch (test/check path)."""
-        hsq = bandwidths**2
-        selected = self.selected_draws(indices)
-        theta_bar = selected.mean(axis=1)
-        log_fit_sum = self.log_fit[indices, np.arange(self.M)].sum()
-        chol_w = self.compat_cholesky(hsq)
-        log_w, log_weight = self.log_mixture_weight(
-            selected, theta_bar, log_fit_sum, hsq, chol_w
-        )
-        mean, chol = self.component_gaussian(theta_bar, hsq)
-        cov = spd_inverse(chol @ chol.T)
-        return DpeChainState(
-            indices=indices.copy(),
-            theta_bar=theta_bar,
-            log_w=log_w,
-            log_weight=log_weight,
-            component_mean=mean,
-            component_cov=cov,
-            bandwidth=bandwidths.copy(),
-        )
+    def emit(self, zbar, s, normals):
+        """One output draw per row: ``mu* + D^1/2 U [lam / (lam + s) zbar
+        + sqrt(lam s / (lam + s)) eps]`` for (T, d) ``zbar`` and ``normals``
+        and (T,) ``s``; returns (d, T)."""
+        lam, s = self.eigval, s[:, None]
+        inner = lam / (lam + s) * zbar + np.sqrt(lam * s / (lam + s)) * normals
+        return self.mean[:, None] + self.scale[:, None] * (self.eigvec @ inner.T)
 
 
-def semiparametric_dpe(bundle, config=None, return_state=False):
+def semiparametric_dpe(bundle, config=None):
     """Sample the pooled posterior via the semiparametric density product.
 
     Each machine's subposterior density is modeled as a Gaussian fit
@@ -311,10 +328,17 @@ def semiparametric_dpe(bundle, config=None, return_state=False):
     index is re-proposed uniformly and accepted by the mixture-weight
     ratio, then one pooled draw is emitted from the selected component.
 
-    All weight arithmetic stays in log space.  When annealing is on,
-    both the current and the proposed weight are recomputed at the
-    iteration's bandwidth so the acceptance ratio is always formed at a
-    single common bandwidth.
+    Algorithm 1 of Neiswanger, Wang & Xing, *Asymptotically Exact,
+    Embarrassingly Parallel MCMC* (arXiv:1311.4780), instead re-proposes
+    every machine's index before each emitted draw.  This sampler
+    re-proposes one machine, chosen uniformly at random, per draw.
+
+    When annealing is on, the current and the proposed weight are both
+    formed at the iteration's bandwidth, so the acceptance ratio is
+    always taken at a single common bandwidth.  All random numbers are
+    drawn up front from ``default_rng(config.seed)``; the chain runs in
+    a rotated basis at O(d) cost per iteration (see :class:`_DpeBasis`)
+    and all T draws are emitted in one batched pass after it.
 
     Parameters
     ----------
@@ -323,77 +347,17 @@ def semiparametric_dpe(bundle, config=None, return_state=False):
     config : DpeConfig, optional
         Bandwidths, annealing flag and seed; defaults match
         ``DpeConfig()``.
-    return_state : bool, optional
-        Also return the final :class:`DpeChainState` (used by tests to
-        cross-check the incrementally maintained quantities).
     """
     if config is None:
         config = DpeConfig()
     d, T, M = bundle.d, bundle.T, bundle.M
-    bandw = config.resolved_bandwidths(d)
-    ctx = _DpeContext(bundle)
+    basis = _DpeBasis(bundle, config.resolved_bandwidths(d))
     rng = np.random.default_rng(config.seed)
-
     indices = rng.integers(0, T, size=M)
-    selected = ctx.selected_draws(indices)
-    theta_bar = selected.mean(axis=1)
-    log_fit_sum = ctx.log_fit[indices, np.arange(M)].sum()
-
-    if not config.anneal:
-        fixed_h = bandwidth_schedule(1, d, bandw, anneal=False)
-        fixed_hsq = fixed_h**2
-        fixed_chol_w = ctx.compat_cholesky(fixed_hsq)
-
-    out = np.empty((d, T))
-    log_w = log_weight = np.nan
-    for step in range(1, T + 1):
-        if config.anneal:
-            h = bandwidth_schedule(step, d, bandw, anneal=True)
-            hsq = h**2
-            chol_w = ctx.compat_cholesky(hsq)
-        else:
-            h, hsq, chol_w = fixed_h, fixed_hsq, fixed_chol_w
-
-        log_w, log_weight = ctx.log_mixture_weight(
-            selected, theta_bar, log_fit_sum, hsq, chol_w
-        )
-
-        machine = rng.integers(M)
-        proposal = rng.integers(T)
-        new_draw = ctx.values[:, proposal, machine]
-        theta_bar_prop = theta_bar + (new_draw - selected[:, machine]) / M
-        selected_prop = selected.copy()
-        selected_prop[:, machine] = new_draw
-        log_fit_prop = (
-            log_fit_sum
-            - ctx.log_fit[indices[machine], machine]
-            + ctx.log_fit[proposal, machine]
-        )
-        log_w_prop, log_weight_prop = ctx.log_mixture_weight(
-            selected_prop, theta_bar_prop, log_fit_prop, hsq, chol_w
-        )
-
-        if np.log(rng.uniform()) < log_weight_prop - log_weight:
-            indices[machine] = proposal
-            selected = selected_prop
-            theta_bar = theta_bar_prop
-            log_fit_sum = log_fit_prop
-            log_w, log_weight = log_w_prop, log_weight_prop
-
-        mean, chol = ctx.component_gaussian(theta_bar, hsq)
-        noise = solve_triangular(chol.T, rng.standard_normal(d), lower=False)
-        out[:, step - 1] = mean + noise
-
-    combined = CombinedSamples(out)
-    if not return_state:
-        return combined
-    state = DpeChainState(
-        indices=indices.copy(),
-        theta_bar=theta_bar.copy(),
-        log_w=log_w,
-        log_weight=log_weight,
-        component_mean=mean,
-        component_cov=spd_inverse(chol @ chol.T),
-        bandwidth=h.copy(),
-    )
-    return combined, state
+    machines = rng.integers(0, M, size=T)
+    proposals = rng.integers(0, T, size=T)
+    log_u = np.log(rng.uniform(size=T))
+    normals = rng.standard_normal((T, d))
+    s = _bandwidth_scales(T, d, config.anneal)
+    sum_z, _ = basis.run_chain(s, indices, machines, proposals, log_u)
+    return CombinedSamples(basis.emit(sum_z / M, s, normals))

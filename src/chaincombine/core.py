@@ -147,10 +147,14 @@ def shuffle_within_machines(bundle, seed):
     multisets are preserved exactly; only the pairing of draws across
     machines changes.  This breaks spurious correlation between
     same-index draws on different machines.
+
+    Every machine's permutation comes from its own child of
+    ``SeedSequence(seed)``, so none of them replays the stream of
+    ``default_rng(seed)``, which ``combine --shuff --seed s`` hands to
+    the density-product sampler.
     """
-    rng = np.random.default_rng(seed)
     shuffled = np.empty_like(bundle.values)
-    for m in range(bundle.M):
-        perm = rng.permutation(bundle.T)
+    for m, stream in enumerate(np.random.SeedSequence(seed).spawn(bundle.M)):
+        perm = np.random.default_rng(stream).permutation(bundle.T)
         shuffled[:, :, m] = bundle.values[:, perm, m]
     return SubposteriorBundle(shuffled)

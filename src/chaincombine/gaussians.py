@@ -1,23 +1,16 @@
-"""Multivariate normal log-densities and guarded SPD matrix inversion.
-
-Everything here works on plain float64 arrays.  Densities are evaluated
-through Cholesky factors so repeated evaluations against the same
-covariance pay the factorization cost once.
-"""
+"""Guarded inversion of estimated covariance matrices."""
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 # Relative eigenvalue floor applied before inverting an estimated covariance.
 EIG_FLOOR = 1e-10
 
 
-def _floored_eigh(matrix):
-    """Eigendecomposition with eigenvalues floored at EIG_FLOOR * trace/d.
+def spd_inverse(matrix):
+    """Inverse of a covariance matrix after flooring its eigenvalues at
+    EIG_FLOOR * trace/d.
 
     Raises :class:`SingularCovariance` when flooring cannot help (zero
     or non-finite trace, i.e. there is no scale to work with).
@@ -30,57 +23,4 @@ def _floored_eigh(matrix):
             f"covariance has non-positive trace ({scale!r}); cannot regularize"
         )
     eigval, eigvec = np.linalg.eigh(sym)
-    return np.maximum(eigval, EIG_FLOOR * scale), eigvec
-
-
-def floor_spd(matrix):
-    """Return a symmetric positive definite version of ``matrix``."""
-    floored, eigvec = _floored_eigh(matrix)
-    return (eigvec * floored) @ eigvec.T
-
-
-def spd_inverse(matrix):
-    """Inverse of a covariance matrix after eigenvalue flooring."""
-    floored, eigvec = _floored_eigh(matrix)
-    return (eigvec / floored) @ eigvec.T
-
-
-def spd_cholesky(matrix):
-    """Lower Cholesky factor of ``matrix``, flooring eigenvalues if needed."""
-    matrix = np.asarray(matrix, dtype=float)
-    try:
-        return np.linalg.cholesky(0.5 * (matrix + matrix.T))
-    except np.linalg.LinAlgError:
-        return np.linalg.cholesky(floor_spd(matrix))
-
-
-def mvn_logpdf_chol(x, mean, chol):
-    """Log-density of N(mean, L L^T) at ``x`` given the lower factor ``L``.
-
-    ``x`` may be a single d-vector or an (n, d) batch; returns a scalar or
-    an (n,) array accordingly.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    dev = np.atleast_2d(x) - mean
-    z = solve_triangular(chol, dev.T, lower=True)
-    quad = np.sum(z * z, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    d = chol.shape[0]
-    out = -0.5 * (d * LOG_2PI + logdet + quad)
-    return out[0] if single else out
-
-
-def mvn_logpdf(x, mean, cov):
-    """Log-density of N(mean, cov) at ``x`` (vector or (n, d) batch)."""
-    return mvn_logpdf_chol(x, mean, spd_cholesky(cov))
-
-
-def diag_mvn_logpdf(x, mean, variances):
-    """Log-density of a diagonal-covariance Gaussian (vector or batch)."""
-    x = np.asarray(x, dtype=float)
-    dev = x - mean
-    quad = np.sum(dev * dev / variances, axis=-1)
-    logdet = np.sum(np.log(variances))
-    d = np.shape(variances)[-1] if np.ndim(variances) else 1
-    return -0.5 * (d * LOG_2PI + logdet + quad)
+    return (eigvec / np.maximum(eigval, EIG_FLOOR * scale)) @ eigvec.T

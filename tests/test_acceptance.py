@@ -148,9 +148,10 @@ def logistic_distances(n, M, T, burnin, seed):
 
 def test_criterion_3_logistic_desk_scale():
     # Seeds 1-3 out of a ten-seed development sweep (seeds 1-10); 9/10
-    # seeds passed the distance band (the miss was sample-average at 0.13
-    # on seed 7) and consensus-cov ranked top-two in 9/10 (third, 0.029
-    # against 0.028, on seed 4).
+    # seeds passed the distance band (the miss was seed 7: sample-average
+    # 0.14 and consensus-indep 0.102) and consensus-cov ranked top-two in
+    # 8/10 (fourth on seed 4, 0.034 against 0.030-0.033; third on seed 6,
+    # 0.079 against 0.072 and 0.077).
     with criterion_report("3 logistic-desk-scale"):
         start = time.time()
         for seed in (1, 2, 3):

@@ -106,3 +106,12 @@ class TestShuffleWithinMachines:
         a = shuffle_within_machines(bundle, seed=1)
         b = shuffle_within_machines(bundle, seed=2)
         assert not np.array_equal(a.values, b.values)
+
+    def test_stream_independent_of_sampler_seed(self):
+        # combine --shuff --seed s seeds the density-product sampler with
+        # default_rng(s); the shuffle must not replay that stream.
+        T = 50
+        bundle = validate_bundle(np.arange(float(T)).reshape(1, T, 1))
+        for seed in (0, 5, 123):
+            perm = shuffle_within_machines(bundle, seed).values[0, :, 0]
+            assert not np.array_equal(perm, np.random.default_rng(seed).permutation(T))

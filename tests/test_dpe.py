@@ -1,7 +1,10 @@
 """The semiparametric density-product sampler."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from chaincombine import (
     DpeConfig,
@@ -10,7 +13,7 @@ from chaincombine import (
     semiparametric_dpe,
     validate_bundle,
 )
-from chaincombine.combiners import _DpeContext
+from chaincombine.combiners import _bandwidth_scales, _DpeBasis
 from chaincombine.harness import gaussian_product_oracle
 
 
@@ -117,41 +120,170 @@ class TestSampler:
         assert rel < 0.15
 
 
+def dense_reference(bundle):
+    """Dense reference formulas for the DPE mixture, built from Cholesky
+    factors: the diagonal kernel weight, the compatibility density
+    N(theta_bar | mu*, Sigma* + hsq/M), the machine-fit denominator, and
+    the component Gaussian with precision Sigma*^-1 + diag(M/hsq)."""
+    d, M = bundle.d, bundle.M
+    means, covs = [], []
+    for m in range(M):
+        draws = bundle.values[:, :, m]
+        means.append(draws.mean(axis=1))
+        covs.append(np.cov(draws, ddof=1))
+    precisions = [np.linalg.inv(c) for c in covs]
+    pooled_prec = np.sum(precisions, axis=0)
+    prec_mean = np.sum([p @ mu for p, mu in zip(precisions, means)], axis=0)
+    pooled_cov = np.linalg.inv(pooled_prec)
+    pooled_mean = pooled_cov @ prec_mean
+
+    def logpdf(x, mean, cov):
+        chol = np.linalg.cholesky(cov)
+        z = solve_triangular(chol, np.atleast_2d(x - mean).T, lower=True)
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
+        return -0.5 * (d * np.log(2.0 * np.pi) + logdet + (z * z).sum(axis=0))
+
+    def log_weight(indices, hsq):
+        selected = bundle.values[:, indices, np.arange(M)]
+        theta_bar = selected.mean(axis=1)
+        log_w = logpdf(selected.T, theta_bar, np.diag(hsq)).sum()
+        log_compat = logpdf(theta_bar, pooled_mean, pooled_cov + np.diag(hsq / M))[0]
+        log_fit = sum(
+            logpdf(selected[:, m], means[m], covs[m])[0] for m in range(M)
+        )
+        return log_w + log_compat - log_fit
+
+    def component(indices, hsq):
+        theta_bar = bundle.values[:, indices, np.arange(M)].mean(axis=1)
+        chol = np.linalg.cholesky(pooled_prec + np.diag(M / hsq))
+        rhs = (M / hsq) * theta_bar + prec_mean
+        mean = solve_triangular(
+            chol.T, solve_triangular(chol, rhs, lower=True), lower=False
+        )
+        inv_chol = solve_triangular(chol, np.eye(d), lower=True)
+        return mean, inv_chol.T @ inv_chol
+
+    return log_weight, component
+
+
+class TestEigenbasisAgainstDense:
+    @pytest.mark.parametrize("anneal", [True, False])
+    def test_log_weight_differences_and_components(self, anneal):
+        rng = np.random.default_rng(9)
+        d, T, M = 3, 60, 4
+        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bandw = np.array([0.02, 0.05, 0.1])
+        basis = _DpeBasis(bundle, bandw)
+        log_weight, component = dense_reference(bundle)
+        for step in (1, 7, 60, 5000):
+            h = bandwidth_schedule(step, d, bandw, anneal=anneal)
+            s = _bandwidth_scales(step, d, anneal)[-1:]
+            np.testing.assert_allclose(s * bandw**2, h**2, rtol=1e-14)
+            k, c = basis.weight_terms(s[0])
+            base = rng.integers(0, T, size=M)
+            for _ in range(5):
+                other = rng.integers(0, T, size=M)
+                want = log_weight(other, h**2) - log_weight(base, h**2)
+                got = basis.log_weight(basis.sums(other), k, c) - basis.log_weight(
+                    basis.sums(base), k, c
+                )
+                np.testing.assert_allclose(got, want, rtol=1e-10)
+
+                # The emission is affine in the normals: zero noise gives the
+                # component mean, unit normals give columns of a covariance root.
+                zbar = basis.sums(other)[0] / M
+                rows = basis.emit(
+                    np.tile(zbar, (d + 1, 1)),
+                    np.repeat(s, d + 1),
+                    np.vstack([np.zeros(d), np.eye(d)]),
+                )
+                mean, root = rows[:, 0], rows[:, 1:] - rows[:, :1]
+                want_mean, want_cov = component(other, h**2)
+                np.testing.assert_allclose(
+                    mean, want_mean, rtol=1e-10, atol=1e-10 * np.abs(want_mean).max()
+                )
+                np.testing.assert_allclose(
+                    root @ root.T, want_cov, rtol=1e-10, atol=1e-10 * np.abs(want_cov).max()
+                )
+
+
+def run_index_chain(bundle, anneal, seed):
+    """The sampler's index chain on its own, as semiparametric_dpe runs it."""
+    d, T, M = bundle.d, bundle.T, bundle.M
+    basis = _DpeBasis(bundle, np.ones(d))
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, T, size=M)
+    s = _bandwidth_scales(T, d, anneal)
+    history, final = basis.run_chain(
+        s,
+        indices,
+        rng.integers(0, M, size=T),
+        rng.integers(0, T, size=T),
+        np.log(rng.uniform(size=T)),
+    )
+    return basis, indices, history, final
+
+
 class TestChainState:
+    def check_running_sums(self, bundle, anneal, seed):
+        basis, indices, history, final = run_index_chain(bundle, anneal, seed)
+        sum_z, sum_q, sum_f = basis.sums(indices)
+        spread = np.abs(basis.z).max()
+        np.testing.assert_allclose(final[0], sum_z, rtol=0, atol=1e-12 * spread)
+        np.testing.assert_allclose(history[-1], final[0], rtol=0, atol=0)
+        np.testing.assert_allclose(final[1], sum_q, rtol=1e-12)
+        np.testing.assert_allclose(final[2], sum_f, rtol=1e-12)
+        # The chain moved: a frozen chain would pass the checks trivially.
+        assert len(np.unique(history, axis=0)) > bundle.T // 10
+
     def test_incremental_state_matches_recomputation(self):
         rng = np.random.default_rng(4)
         bundle, _, _ = gaussian_bundle(rng, 2, 400, 4)
-        config = DpeConfig(seed=6)
-        out, state = semiparametric_dpe(bundle, config, return_state=True)
-        ctx = _DpeContext(bundle)
-        rebuilt = ctx.state_from_indices(state.indices, state.bandwidth)
-        np.testing.assert_allclose(rebuilt.theta_bar, state.theta_bar, rtol=1e-12)
-        np.testing.assert_allclose(rebuilt.log_w, state.log_w, rtol=1e-9)
-        np.testing.assert_allclose(rebuilt.log_weight, state.log_weight, rtol=1e-9)
-        np.testing.assert_allclose(
-            rebuilt.component_mean, state.component_mean, rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            rebuilt.component_cov, state.component_cov, rtol=1e-8
-        )
-
-    def test_theta_bar_is_mean_of_selected_draws(self):
-        rng = np.random.default_rng(5)
-        bundle, _, _ = gaussian_bundle(rng, 3, 200, 5)
-        _, state = semiparametric_dpe(bundle, DpeConfig(seed=7), return_state=True)
-        selected = bundle.values[:, state.indices, np.arange(bundle.M)]
-        np.testing.assert_allclose(
-            state.theta_bar, selected.mean(axis=1), rtol=1e-12
-        )
+        self.check_running_sums(bundle, anneal=True, seed=6)
 
     def test_fixed_bandwidth_state_recomputes_too(self):
         rng = np.random.default_rng(6)
         bundle, _, _ = gaussian_bundle(rng, 2, 300, 3)
-        config = DpeConfig(anneal=False, seed=8)
-        _, state = semiparametric_dpe(bundle, config, return_state=True)
-        rebuilt = _DpeContext(bundle).state_from_indices(state.indices, state.bandwidth)
-        np.testing.assert_allclose(rebuilt.theta_bar, state.theta_bar, rtol=1e-12)
-        np.testing.assert_allclose(rebuilt.log_weight, state.log_weight, rtol=1e-9)
+        self.check_running_sums(bundle, anneal=False, seed=8)
+
+    def test_visit_frequencies_match_mixture_weights(self):
+        # With T=4 and M=3 the mixture has 64 components.  The chain's visit
+        # frequencies must approach their dense-reference weights: this
+        # checks the direction of the Metropolis ratio, which moment tests
+        # at wide bandwidths cannot see.
+        rng = np.random.default_rng(10)
+        d, T, M = 2, 4, 3
+        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bandw = np.full(d, 0.02)
+        basis = _DpeBasis(bundle, bandw)
+        log_weight, _ = dense_reference(bundle)
+        components = [np.array(c) for c in itertools.product(range(T), repeat=M)]
+        log_w = np.array([log_weight(c, bandw**2) for c in components])
+        weights = np.exp(log_w - log_w.max())
+        weights /= weights.sum()
+
+        n = 40000
+        history, _ = basis.run_chain(
+            np.ones(n),
+            rng.integers(0, T, size=M),
+            rng.integers(0, M, size=n),
+            rng.integers(0, T, size=n),
+            np.log(rng.uniform(size=n)),
+        )
+        sums = np.array([basis.sums(c)[0] for c in components])
+        visited = np.argmin(((history[:, None, :] - sums) ** 2).sum(axis=2), axis=1)
+        freq = np.bincount(visited, minlength=len(components)) / n
+        assert 0.5 * np.abs(freq - weights).sum() < 0.06
+
+    def test_theta_bar_is_mean_of_selected_draws(self):
+        # The rotated basis maps back: mu* + D^1/2 U zbar is the mean of the
+        # selected draws in the original coordinates.
+        rng = np.random.default_rng(5)
+        bundle, _, _ = gaussian_bundle(rng, 3, 200, 5)
+        basis, indices, _, final = run_index_chain(bundle, anneal=True, seed=7)
+        theta_bar = basis.mean + basis.scale * (basis.eigvec @ final[0] / bundle.M)
+        selected = bundle.values[:, indices, np.arange(bundle.M)]
+        np.testing.assert_allclose(theta_bar, selected.mean(axis=1), rtol=1e-12)
 
 
 class TestAcceptanceRatio:
@@ -169,23 +301,15 @@ class TestAcceptanceRatio:
     def test_denominator_baseline_shift_cancels_in_ratio(self):
         rng = np.random.default_rng(8)
         bundle, _, _ = gaussian_bundle(rng, 2, 100, 3)
-        ctx = _DpeContext(bundle)
-        hsq = np.ones(2)
-        chol_w = ctx.compat_cholesky(hsq)
-        idx_a = np.array([0, 1, 2])
-        idx_b = np.array([3, 1, 2])
-        states = []
-        for idx in (idx_a, idx_b):
-            sel = ctx.selected_draws(idx)
-            bar = sel.mean(axis=1)
-            fit = ctx.log_fit[idx, np.arange(3)].sum()
-            states.append((sel, bar, fit))
+        basis = _DpeBasis(bundle, np.ones(2))
+        k, c = basis.weight_terms(1.0)
+        states = [basis.sums(np.array(idx)) for idx in ([0, 1, 2], [3, 1, 2])]
         baseline = 123.456
         deltas = []
         for shift in (0.0, baseline):
             weights = [
-                ctx.log_mixture_weight(sel, bar, fit + shift, hsq, chol_w)[1]
-                for sel, bar, fit in states
+                basis.log_weight((sum_z, sum_q, sum_f + shift), k, c)
+                for sum_z, sum_q, sum_f in states
             ]
             deltas.append(weights[1] - weights[0])
         np.testing.assert_allclose(deltas[0], deltas[1], atol=1e-9)

@@ -1,18 +1,10 @@
-"""Gaussian log-density helpers and guarded SPD inversion."""
+"""Guarded SPD inversion."""
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
 
 from chaincombine.errors import SingularCovariance
-from chaincombine.gaussians import (
-    diag_mvn_logpdf,
-    floor_spd,
-    mvn_logpdf,
-    mvn_logpdf_chol,
-    spd_cholesky,
-    spd_inverse,
-)
+from chaincombine.gaussians import spd_inverse
 
 
 def random_spd(rng, d, scale=1.0):
@@ -20,40 +12,11 @@ def random_spd(rng, d, scale=1.0):
     return scale * (a @ a.T / d + np.eye(d))
 
 
-class TestLogpdf:
-    def test_matches_scipy_single_point(self):
-        rng = np.random.default_rng(0)
-        cov = random_spd(rng, 4)
-        mean = rng.standard_normal(4)
-        x = rng.standard_normal(4)
-        expected = multivariate_normal.logpdf(x, mean=mean, cov=cov)
-        np.testing.assert_allclose(mvn_logpdf(x, mean, cov), expected, rtol=1e-10)
-
-    def test_matches_scipy_batch(self):
-        rng = np.random.default_rng(1)
-        cov = random_spd(rng, 3)
-        mean = rng.standard_normal(3)
-        x = rng.standard_normal((50, 3))
-        expected = multivariate_normal.logpdf(x, mean=mean, cov=cov)
-        got = mvn_logpdf_chol(x, mean, spd_cholesky(cov))
-        np.testing.assert_allclose(got, expected, rtol=1e-10)
-
-    def test_diagonal_fast_path_agrees(self):
-        rng = np.random.default_rng(2)
-        variances = rng.uniform(0.5, 2.0, size=3)
-        mean = rng.standard_normal(3)
-        x = rng.standard_normal((20, 3))
-        expected = mvn_logpdf_chol(x, mean, spd_cholesky(np.diag(variances)))
-        np.testing.assert_allclose(
-            diag_mvn_logpdf(x, mean, variances), expected, rtol=1e-12
-        )
-
-
 class TestFlooring:
     def test_pd_matrix_unchanged_within_floor(self):
         rng = np.random.default_rng(3)
         cov = random_spd(rng, 3)
-        np.testing.assert_allclose(floor_spd(cov), cov, rtol=1e-9)
+        np.testing.assert_allclose(spd_inverse(cov), np.linalg.inv(cov), rtol=1e-9)
 
     def test_singular_matrix_becomes_invertible(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
@@ -70,7 +33,7 @@ class TestFlooring:
         with pytest.raises(SingularCovariance):
             spd_inverse(np.zeros((2, 2)))
         with pytest.raises(SingularCovariance):
-            floor_spd(np.zeros((3, 3)))
+            spd_inverse(np.zeros((3, 3)))
 
     def test_inverse_of_pd_matrix(self):
         rng = np.random.default_rng(4)
