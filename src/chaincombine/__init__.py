@@ -19,13 +19,10 @@ from .core import (
 )
 from .combiners import (
     DpeConfig,
-    MachineSummary,
-    PooledSummary,
     bandwidth_schedule,
-    compute_machine_summary,
-    compute_pooled_summary,
     consensus_covariance,
     consensus_independent,
+    machine_moments,
     sample_average,
     semiparametric_dpe,
 )
@@ -72,14 +69,11 @@ __all__ = [
     "CombinedSamples",
     "validate_bundle",
     "shuffle_within_machines",
-    "MachineSummary",
-    "PooledSummary",
     "DpeConfig",
+    "machine_moments",
     "sample_average",
     "consensus_independent",
     "consensus_covariance",
-    "compute_machine_summary",
-    "compute_pooled_summary",
     "bandwidth_schedule",
     "semiparametric_dpe",
     "DensityEstimate",

@@ -9,9 +9,9 @@ Three subcommands cover the pipeline:
 * ``metric``   - score combined samples against a full-data chain with
   per-parameter relative L2 distances.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 numerical failure.  Errors are printed to stderr with an
-``error: <Type>:`` prefix.
+Exit codes: 0 success, 1 usage error, and otherwise the error's own
+``exit_code``: 2 data/validation error, 3 numerical failure.  Errors
+are printed to stderr with an ``error: <Type>:`` prefix.
 """
 
 import argparse
@@ -31,7 +31,7 @@ from .combiners import (
 )
 from .core import CombinedSamples, shuffle_within_machines, validate_bundle
 from .density import density_pair, relative_l2_distance
-from .errors import ChainCombineError, DimensionMismatch, NumericalError
+from .errors import ChainCombineError, DimensionMismatch
 from .harness import (
     MhConfig,
     partition_rows,
@@ -43,8 +43,6 @@ from .io import FLOAT_FORMAT, read_bundle, read_samples, write_bundle, write_sam
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
 
 METHODS = ("sample-avg", "consensus-indep", "consensus-cov", "semiparam-dpe")
 
@@ -246,12 +244,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ChainCombineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
 
 
 if __name__ == "__main__":

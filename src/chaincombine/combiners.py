@@ -16,46 +16,14 @@ from .errors import DegenerateChain, NonPositiveBandwidth, SingularCovariance
 from .gaussians import spd_inverse
 
 __all__ = [
-    "MachineSummary",
-    "PooledSummary",
     "DpeConfig",
+    "machine_moments",
     "sample_average",
     "consensus_independent",
     "consensus_covariance",
-    "compute_machine_summary",
-    "compute_pooled_summary",
     "bandwidth_schedule",
     "semiparametric_dpe",
 ]
-
-
-@dataclass(frozen=True)
-class MachineSummary:
-    """Gaussian moment estimates of one machine's subposterior draws."""
-
-    mean: np.ndarray        # (d,)
-    covariance: np.ndarray  # (d, d), symmetric
-    variances: np.ndarray   # (d,) diagonal of covariance
-
-    def __post_init__(self):
-        cov = self.covariance
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
-            raise ValueError("covariance must be symmetric to 1e-10")
-        if np.any(self.variances < 0.0):
-            raise ValueError("variances must be nonnegative")
-
-    @property
-    def is_degenerate(self):
-        """True when some component has exactly zero sample variance."""
-        return bool(np.any(self.variances == 0.0))
-
-
-@dataclass(frozen=True)
-class PooledSummary:
-    """Moments of the product of the machines' Gaussian approximations."""
-
-    pooled_mean: np.ndarray        # (d,)
-    pooled_covariance: np.ndarray  # (d, d)
 
 
 @dataclass(frozen=True)
@@ -113,6 +81,23 @@ def sample_average(bundle):
     return CombinedSamples(_weighted_mean_over_machines(bundle.values, weights))
 
 
+def machine_moments(bundle):
+    """Every machine's Gaussian fit: (M, d) sample means and (M, d, d)
+    unbiased sample covariances, from one pass over the (d, T, M) array.
+
+    A component that ``bundle.zero_variance`` flags takes its first draw
+    as its mean, so its variance and covariances come out exactly zero
+    rather than at the rounding error of a computed mean.
+    """
+    if bundle.T < 2:
+        raise DegenerateChain("covariance estimation needs at least 2 draws")
+    values = bundle.values
+    means = np.where(bundle.zero_variance, values[:, 0, :].T, values.mean(axis=1).T)
+    dev = values - means.T[:, None, :]
+    covs = np.einsum("itm,jtm->mij", dev, dev) / (bundle.T - 1)
+    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
+
+
 def _require_positive_variances(bundle):
     mask = bundle.zero_variance
     if mask.any():
@@ -131,10 +116,9 @@ def consensus_independent(bundle):
     """
     if bundle.M == 1:
         return CombinedSamples(bundle.values[:, :, 0])
-    if bundle.T < 2:
-        raise DegenerateChain("consensus weighting needs at least 2 draws per machine")
+    _, covs = machine_moments(bundle)
     _require_positive_variances(bundle)
-    variances = bundle.values.var(axis=1, ddof=1)  # (d, M)
+    variances = np.diagonal(covs, axis1=1, axis2=2).T  # (d, M)
     return CombinedSamples(
         _weighted_mean_over_machines(bundle.values, 1.0 / variances)
     )
@@ -149,18 +133,11 @@ def consensus_covariance(bundle):
     """
     if bundle.M == 1:
         return CombinedSamples(bundle.values[:, :, 0])
-    if bundle.T < 2:
-        raise DegenerateChain("consensus weighting needs at least 2 draws per machine")
+    _, covs = machine_moments(bundle)
     _require_positive_variances(bundle)
-    weights = np.stack(
-        [
-            spd_inverse(compute_machine_summary(bundle, m).covariance)
-            for m in range(bundle.M)
-        ]
-    )
+    weights = spd_inverse(covs)
     total = weights.sum(axis=0)
-    per_machine = np.moveaxis(bundle.values, 2, 0)  # (M, d, T)
-    weighted = np.einsum("mij,mjt->it", weights, per_machine)
+    weighted = np.einsum("mij,jtm->it", weights, bundle.values)
     try:
         pooled = np.linalg.solve(total, weighted)
     except np.linalg.LinAlgError as exc:
@@ -168,31 +145,6 @@ def consensus_covariance(bundle):
             "sum of machine precisions is singular"
         ) from exc
     return CombinedSamples(pooled)
-
-
-def compute_machine_summary(bundle, m):
-    """Sample mean and unbiased sample covariance of machine ``m``."""
-    if bundle.T < 2:
-        raise DegenerateChain("covariance estimation needs at least 2 draws")
-    draws = bundle.values[:, :, m]
-    mean = draws.mean(axis=1)
-    dev = draws - mean[:, None]
-    cov = (dev @ dev.T) / (bundle.T - 1)
-    cov = 0.5 * (cov + cov.T)
-    return MachineSummary(mean=mean, covariance=cov, variances=np.diag(cov).copy())
-
-
-def compute_pooled_summary(summaries):
-    """Moments of the product of the machines' Gaussian fits.
-
-    The pooled covariance is the inverse of the summed machine
-    precisions and the pooled mean is the precision-weighted mean.
-    """
-    precisions = [spd_inverse(s.covariance) for s in summaries]
-    total = np.sum(precisions, axis=0)
-    pooled_cov = spd_inverse(total)
-    weighted = np.sum([p @ s.mean for p, s in zip(precisions, summaries)], axis=0)
-    return PooledSummary(pooled_mean=pooled_cov @ weighted, pooled_covariance=pooled_cov)
 
 
 def bandwidth_schedule(step, d, bandw, anneal=True):
@@ -228,13 +180,14 @@ class _DpeBasis:
     """
 
     def __init__(self, bundle, bandw):
-        summaries = [compute_machine_summary(bundle, m) for m in range(bundle.M)]
-        pooled = compute_pooled_summary(summaries)
+        means, covs = machine_moments(bundle)
+        precisions = spd_inverse(covs)
+        pooled_cov = spd_inverse(precisions.sum(axis=0))  # Sigma*
         self.M = bundle.M
-        self.mean = pooled.pooled_mean
+        self.mean = pooled_cov @ np.einsum("mij,mj->i", precisions, means)  # mu*
         self.scale = bandw / np.sqrt(bundle.M)  # D^1/2
         self.eigval, self.eigvec = np.linalg.eigh(
-            pooled.pooled_covariance / np.outer(self.scale, self.scale)
+            pooled_cov / np.outer(self.scale, self.scale)
         )
         dev = (bundle.values - self.mean[:, None, None]) / self.scale[:, None, None]
         self.z = np.einsum("dtm,de->tme", dev, self.eigvec)  # (T, M, d)
@@ -245,11 +198,8 @@ class _DpeBasis:
         # machine.  An einsum, not a triangular solve over all T draws:
         # OpenBLAS's threaded solve leaves a worker spinning for about
         # 0.1 s, which slows whatever single-threaded work follows.
-        self.log_fit = np.empty((bundle.T, bundle.M))
-        for m, summary in enumerate(summaries):
-            dev_m = bundle.values[:, :, m] - summary.mean[:, None]
-            prec = spd_inverse(summary.covariance)
-            self.log_fit[:, m] = -0.5 * np.einsum("dt,de,et->t", dev_m, prec, dev_m)
+        resid = bundle.values - means.T[:, None, :]
+        self.log_fit = -0.5 * np.einsum("dtm,mde,etm->tm", resid, precisions, resid)
 
     def sums(self, indices):
         """Running sums ``(sum z, sum |z|^2, sum log_fit)`` of the draws

@@ -28,7 +28,7 @@ class SubposteriorBundle:
     """
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 3:
             raise DimensionMismatch(
                 f"bundle must be a (d, T, M) array, got shape {values.shape}"
@@ -39,7 +39,6 @@ class SubposteriorBundle:
                 f"bundle dimensions must all be >= 1, got (d={d}, T={T}, M={M})"
             )
         _check_finite(values)
-        values = values.copy()
         values.setflags(write=False)
         self.values = values
 
@@ -58,16 +57,7 @@ class SubposteriorBundle:
     @property
     def zero_variance(self):
         """(M, d) boolean mask of machine components with constant chains."""
-        v = self.values
-        return (v.max(axis=1) == v.min(axis=1)).T
-
-    @property
-    def has_degenerate_chain(self):
-        return bool(self.zero_variance.any())
-
-    def machine_draws(self, m):
-        """The (d, T) draw matrix of machine ``m``."""
-        return self.values[:, :, m]
+        return (self.values == self.values[:, :1, :]).all(axis=1).T
 
     def __repr__(self):
         return f"SubposteriorBundle(d={self.d}, T={self.T}, M={self.M})"
@@ -77,13 +67,12 @@ class CombinedSamples:
     """A (d, T) matrix of pooled posterior draws."""
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 2:
             raise DimensionMismatch(
                 f"combined samples must be a (d, T) matrix, got shape {values.shape}"
             )
         _check_finite(values)
-        values = values.copy()
         values.setflags(write=False)
         self.values = values
 

@@ -2,8 +2,8 @@
 
 Two error families matter for callers: validation failures (bad shapes,
 non-finite values, degenerate inputs) and numerical failures (matrices
-that stay singular after regularization).  The CLI maps them to distinct
-exit codes.
+that stay singular after regularization).  Each class carries, as
+``exit_code``, the exit code the CLI returns for it.
 """
 
 

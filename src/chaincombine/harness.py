@@ -68,14 +68,6 @@ class GammaProblem:
     alpha_true: float
     beta_true: float
 
-    @property
-    def mean(self):
-        return self.alpha_true / self.beta_true
-
-    @property
-    def sd(self):
-        return np.sqrt(self.alpha_true) / self.beta_true
-
 
 @dataclass(frozen=True)
 class MhConfig:
@@ -341,16 +333,13 @@ def _gamma_support(params):
     return bool(np.all(params > GAMMA_PRIOR_LO) and np.all(params < GAMMA_PRIOR_HI))
 
 
-def sample_gamma_posterior(y, config, return_mean_sd=False):
+def sample_gamma_posterior(y, config):
     """Posterior draws of (alpha, beta) for Gamma data on one shard.
 
     The chain walks the (mean, sd) parameterization under
     Uniform(0.0001, 10000) priors on each coordinate; proposals outside
     the prior box are rejected outright.  Draws are reported as shape
     and rate: alpha = mean^2/sd^2, beta = mean/sd^2.
-
-    With ``return_mean_sd`` the underlying (mean, sd) chain is returned
-    as well.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -364,10 +353,7 @@ def sample_gamma_posterior(y, config, return_mean_sd=False):
     draws, _ = adaptive_random_walk(log_density, start, config, support=_gamma_support)
     mean, sd = draws[0], draws[1]
     var = sd * sd
-    alpha_beta = np.vstack([mean * mean / var, mean / var])
-    if return_mean_sd:
-        return alpha_beta, draws
-    return alpha_beta
+    return np.vstack([mean * mean / var, mean / var])
 
 
 def _sample_rows(model, rows, config):

@@ -117,10 +117,10 @@ def _diagnose_matrix(path):
     raise ParseError(f"{path}: file could not be parsed as a numeric matrix")
 
 
-def write_bundle(bundle, manifest_path, seed=None, stem="machine"):
+def write_bundle(bundle, manifest_path, seed=None):
     """Write a bundle as one matrix file per machine plus a manifest.
 
-    Machine files land next to the manifest as ``<stem>_<m>.csv`` and
+    Machine files land next to the manifest as ``machine_<m>.csv`` and
     are recorded in the manifest by relative name.  Returns the
     :class:`BundleManifest` written.
     """
@@ -130,7 +130,7 @@ def write_bundle(bundle, manifest_path, seed=None, stem="machine"):
     names = []
     pad = len(str(bundle.M))
     for m in range(bundle.M):
-        name = f"{stem}_{m + 1:0{pad}d}.csv"
+        name = f"machine_{m + 1:0{pad}d}.csv"
         write_matrix(directory / name, bundle.values[:, :, m].T)
         names.append(name)
     manifest = BundleManifest(

@@ -79,10 +79,13 @@ class TestCombineCommand:
         assert code == 2
         assert "error: FileMissing" in capsys.readouterr().err
 
-    def test_singular_covariance_is_numerical_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("constant", [1.0, 0.7])
+    def test_singular_covariance_is_numerical_error(self, tmp_path, capsys, constant):
         # One machine entirely constant: its covariance has zero trace, which
-        # no amount of flooring can fix.
-        values = np.ones((2, 50, 2))
+        # no amount of flooring can fix.  The mean of n copies of 0.7 is not
+        # exactly 0.7 in floating point, so the value matters: a computed
+        # mean would leave a tiny positive trace and a silent point mass.
+        values = np.full((2, 50, 2), constant)
         values[:, :, 0] = np.random.default_rng(1).standard_normal((2, 50))
         manifest = tmp_path / "bad.json"
         write_bundle(validate_bundle(values), manifest)

@@ -1,4 +1,4 @@
-"""The three linear combiners and the moment summaries.
+"""The three linear combiners and the machine moments they share.
 
 Derived expectations are computed by independent brute-force oracles in
 the tests themselves (elementwise means, explicit matrix algebra) so the
@@ -10,14 +10,14 @@ import pytest
 
 from chaincombine import (
     DegenerateChain,
-    compute_machine_summary,
-    compute_pooled_summary,
     consensus_covariance,
     consensus_independent,
     gaussian_product_oracle,
+    machine_moments,
     sample_average,
     validate_bundle,
 )
+from chaincombine.combiners import _DpeBasis
 
 
 def random_bundle(rng, d, T, M, loc=0.0):
@@ -54,28 +54,30 @@ class TestSampleAverage:
 
 
 class TestMachineSummary:
+    """Hand cases for :func:`machine_moments`, every machine's Gaussian fit."""
+
     def test_scalar_hand_case(self):
         bundle = validate_bundle(np.array([0.0, 2.0]).reshape(1, 2, 1))
-        summary = compute_machine_summary(bundle, 0)
-        assert summary.mean[0] == 1.0
-        assert summary.variances[0] == 2.0  # (1 + 1) / (T - 1)
+        means, covs = machine_moments(bundle)
+        assert means[0, 0] == 1.0
+        assert covs[0, 0, 0] == 2.0  # (1 + 1) / (T - 1)
 
     def test_constant_chain_flagged(self):
         bundle = validate_bundle(np.full((1, 3, 1), 5.0))
-        summary = compute_machine_summary(bundle, 0)
-        assert summary.mean[0] == 5.0
-        assert summary.variances[0] == 0.0
-        assert summary.is_degenerate
+        means, covs = machine_moments(bundle)
+        assert means[0, 0] == 5.0
+        assert covs[0, 0, 0] == 0.0
+        assert bundle.zero_variance[0, 0]
 
     def test_two_dim_hand_case(self):
         draws = np.array([[0.0, 2.0], [0.0, 2.0]]).reshape(2, 2, 1)
-        summary = compute_machine_summary(validate_bundle(draws), 0)
-        np.testing.assert_allclose(summary.covariance, [[2.0, 2.0], [2.0, 2.0]])
+        _, covs = machine_moments(validate_bundle(draws))
+        np.testing.assert_allclose(covs[0], [[2.0, 2.0], [2.0, 2.0]])
 
     def test_needs_two_draws(self):
         bundle = validate_bundle(np.zeros((2, 1, 1)))
         with pytest.raises(DegenerateChain):
-            compute_machine_summary(bundle, 0)
+            machine_moments(bundle)
 
 
 class TestConsensusIndependent:
@@ -159,10 +161,9 @@ class TestConsensusCovariance:
         m1 = draws_with_diag_cov(1.0, 4.0, [0.0, 0.0])
         m2 = draws_with_diag_cov(4.0, 1.0, [1.0, 1.0])
         bundle = validate_bundle(np.stack([m1, m2], axis=2))
-        s1 = compute_machine_summary(bundle, 0)
-        s2 = compute_machine_summary(bundle, 1)
-        np.testing.assert_allclose(s1.covariance, np.diag([1.0, 4.0]), atol=1e-12)
-        np.testing.assert_allclose(s2.covariance, np.diag([4.0, 1.0]), atol=1e-12)
+        _, covs = machine_moments(bundle)
+        np.testing.assert_allclose(covs[0], np.diag([1.0, 4.0]), atol=1e-12)
+        np.testing.assert_allclose(covs[1], np.diag([4.0, 1.0]), atol=1e-12)
 
         out = consensus_covariance(bundle).values
         w1 = np.array([1.0, 0.25])
@@ -184,40 +185,42 @@ class TestConsensusCovariance:
             consensus_covariance(validate_bundle(values))
 
 
+def pooled_moments(bundle):
+    """The density-product sampler's pooled Gaussian ``(mu*, Sigma*)``,
+    with Sigma* rebuilt from its eigenbasis as ``D^1/2 U diag(lam) U^T D^1/2``."""
+    basis = _DpeBasis(bundle, np.ones(bundle.d))
+    root = basis.scale[:, None] * basis.eigvec
+    return basis.mean, (root * basis.eigval) @ root.T
+
+
 class TestPooledSummary:
+    """The product of the machines' Gaussian fits, as the DPE forms it."""
+
     def test_single_machine_is_identity(self):
         rng = np.random.default_rng(9)
         bundle = random_bundle(rng, 3, 100, 1)
-        summary = compute_machine_summary(bundle, 0)
-        pooled = compute_pooled_summary([summary])
-        np.testing.assert_allclose(pooled.pooled_mean, summary.mean, rtol=1e-9)
-        np.testing.assert_allclose(
-            pooled.pooled_covariance, summary.covariance, rtol=1e-8
-        )
+        mean, cov = pooled_moments(bundle)
+        draws = bundle.values[:, :, 0]
+        np.testing.assert_allclose(mean, draws.mean(axis=1), rtol=1e-9)
+        np.testing.assert_allclose(cov, np.cov(draws, ddof=1), rtol=1e-8)
 
     def test_scalar_precision_arithmetic(self):
         # Variances {2, 2} and means {0, 4} pool to variance 1, mean 2.
-        def summary_with(mean, var):
-            draws = np.array([mean - 1.0, mean + 1.0]) * np.sqrt(var)
-            # Build draws with exact sample variance `var` and mean `mean`.
-            draws = mean + np.array([-1.0, 1.0]) * np.sqrt(var / 2.0)
-            bundle = validate_bundle(draws.reshape(1, 2, 1))
-            return compute_machine_summary(bundle, 0)
-
-        pooled = compute_pooled_summary([summary_with(0.0, 2.0), summary_with(4.0, 2.0)])
-        np.testing.assert_allclose(pooled.pooled_covariance, [[1.0]], rtol=1e-9)
-        np.testing.assert_allclose(pooled.pooled_mean, [2.0], rtol=1e-9)
+        values = np.array([[[-1.0, 3.0], [1.0, 5.0]]])
+        mean, cov = pooled_moments(validate_bundle(values))
+        np.testing.assert_allclose(cov, [[1.0]], rtol=1e-9)
+        np.testing.assert_allclose(mean, [2.0], rtol=1e-9)
 
     def test_matches_gaussian_product_oracle(self):
         rng = np.random.default_rng(10)
         bundle = random_bundle(rng, 3, 500, 4)
-        summaries = [compute_machine_summary(bundle, m) for m in range(4)]
-        pooled = compute_pooled_summary(summaries)
+        mean, cov = pooled_moments(bundle)
+        draws = [bundle.values[:, :, m] for m in range(4)]
         mean_star, cov_star = gaussian_product_oracle(
-            [s.mean for s in summaries], [s.covariance for s in summaries]
+            [x.mean(axis=1) for x in draws], [np.cov(x, ddof=1) for x in draws]
         )
-        np.testing.assert_allclose(pooled.pooled_mean, mean_star, atol=1e-10)
-        np.testing.assert_allclose(pooled.pooled_covariance, cov_star, atol=1e-10)
+        np.testing.assert_allclose(mean, mean_star, atol=1e-10)
+        np.testing.assert_allclose(cov, cov_star, atol=1e-10)
 
 
 class TestSharedProperties:

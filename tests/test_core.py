@@ -51,7 +51,7 @@ class TestValidateBundle:
         raw[1, :, 0] = [1.0, 2.0, 3.0]
         raw[:, :, 1] = np.arange(6.0).reshape(2, 3)
         bundle = validate_bundle(raw)
-        assert bundle.has_degenerate_chain
+        assert bundle.zero_variance.any()
         assert bundle.zero_variance[0, 0]
         assert not bundle.zero_variance[0, 1]
         assert not bundle.zero_variance[1].any()

@@ -7,14 +7,17 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from chaincombine import (
+    DegenerateChain,
     DpeConfig,
     NonPositiveBandwidth,
     bandwidth_schedule,
     semiparametric_dpe,
     validate_bundle,
 )
+from chaincombine.cli import main
 from chaincombine.combiners import _bandwidth_scales, _DpeBasis
 from chaincombine.harness import gaussian_product_oracle
+from chaincombine.io import write_bundle
 
 
 def gaussian_bundle(rng, d, T, M, scale=0.01):
@@ -93,6 +96,19 @@ class TestSampler:
         out = semiparametric_dpe(bundle, DpeConfig(seed=2))
         assert out.values.shape == (2, 250)
         assert np.isfinite(out.values).all()
+
+    def test_one_draw_per_machine_refused(self, tmp_path, capsys):
+        # The machine covariances need two draws each; one draw is a
+        # validation error, exit code 2 at the command line.
+        bundle = validate_bundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
+        with pytest.raises(DegenerateChain):
+            semiparametric_dpe(bundle)
+        manifest = tmp_path / "bundle.json"
+        write_bundle(bundle, manifest)
+        code = main(["combine", "--method", "semiparam-dpe",
+                     "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: DegenerateChain" in capsys.readouterr().err
 
     def test_single_machine_small_bandwidth_is_near_bootstrap(self):
         # With one machine and a bandwidth well below the sample spread the

@@ -22,7 +22,12 @@ from chaincombine import (
     simulate_logistic_data,
     split_logistic_rows,
 )
-from chaincombine.harness import _gamma_support, _logistic_log_likelihood, _logistic_mode
+from chaincombine.harness import (
+    _gamma_log_posterior,
+    _gamma_support,
+    _logistic_log_likelihood,
+    _logistic_mode,
+)
 
 BETA_REFERENCE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
 
@@ -222,9 +227,12 @@ class TestGammaPosterior:
     def test_shape_rate_algebra_against_internal_state(self):
         problem = simulate_gamma_data(5000, 4.0, 2.0, seed=17)
         config = MhConfig(iterations=500, burnin=100, seed=18)
-        alpha_beta, mean_sd = sample_gamma_posterior(problem.y, config, return_mean_sd=True)
-        alpha, beta = alpha_beta
-        lam, delta = mean_sd
+        alpha, beta = sample_gamma_posterior(problem.y, config)
+        # The same (mean, sd) chain, run directly from the same start and seed.
+        start = np.array([problem.y.mean(), problem.y.std(ddof=1)])
+        (lam, delta), _ = adaptive_random_walk(
+            _gamma_log_posterior(problem.y), start, config, support=_gamma_support
+        )
         np.testing.assert_allclose(alpha / beta, lam, rtol=1e-12)
         np.testing.assert_allclose(alpha / beta**2, delta**2, rtol=1e-12)
 

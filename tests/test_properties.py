@@ -1,0 +1,69 @@
+"""Property tests over random shapes: machine moments and affine maps.
+
+Hypothesis picks the shapes and a seed; the data come from a numpy
+generator with that seed, so every example is well-scaled Gaussian noise
+rather than an adversarial float pattern.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaincombine import consensus_covariance, machine_moments, validate_bundle
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 4),
+    T=st.integers(2, 40),
+    M=st.integers(1, 5),
+    seed=seeds,
+    constant_share=st.sampled_from([0.0, 0.3]),
+)
+def test_machine_moments_match_numpy(d, T, M, seed, constant_share):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 3.0), size=(d, T, M))
+    constant = rng.uniform(size=(d, M)) < constant_share
+    values.transpose(0, 2, 1)[constant] = rng.uniform(-5.0, 5.0, size=(constant.sum(), 1))
+    bundle = validate_bundle(values)
+
+    means, covs = machine_moments(bundle)
+
+    assert means.shape == (M, d) and covs.shape == (M, d, d)
+    for m in range(M):
+        draws = values[:, :, m]
+        np.testing.assert_allclose(means[m], draws.mean(axis=1), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            covs[m], np.atleast_2d(np.cov(draws, ddof=1)), rtol=1e-10, atol=1e-12
+        )
+    # A constant component has exactly zero variance and no covariance.
+    assert np.all(covs[constant.T] == 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 4),
+    T=st.integers(2, 40),
+    M=st.integers(1, 5),
+    seed=seeds,
+)
+def test_consensus_covariance_affine_equivariance(d, T, M, seed):
+    # x -> A x + b with A = Q diag(s) R, Q and R orthogonal and s in
+    # [0.5, 2], so A is full and its condition number is at most 4.
+    # Enough draws keep every machine covariance well conditioned, so the
+    # eigenvalue floor never acts and the map is exact up to rounding.
+    T = max(T, 4 * d + 4)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    r, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = (q * rng.uniform(0.5, 2.0, size=d)) @ r
+    b = rng.uniform(-3.0, 3.0, size=d)
+    bundle = validate_bundle(rng.standard_normal((d, T, M)) + rng.standard_normal((d, 1, M)))
+    mapped = validate_bundle(np.einsum("ij,jtm->itm", a, bundle.values) + b[:, None, None])
+
+    expected = a @ consensus_covariance(bundle).values + b[:, None]
+    got = consensus_covariance(mapped).values
+
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
