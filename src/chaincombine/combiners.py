@@ -104,7 +104,7 @@ def _require_positive_variances(bundle):
         m, i = np.argwhere(mask)[0]
         raise DegenerateChain(
             f"machine {m} component {i} has zero variance; "
-            "consensus weighting would divide by zero"
+            "a machine's Gaussian fit needs positive variances"
         )
 
 
@@ -182,6 +182,7 @@ class _DpeBasis:
     def __init__(self, bundle, bandw):
         means, covs = machine_moments(bundle)
         precisions = spd_inverse(covs)
+        _require_positive_variances(bundle)
         pooled_cov = spd_inverse(precisions.sum(axis=0))  # Sigma*
         self.M = bundle.M
         self.mean = pooled_cov @ np.einsum("mij,mj->i", precisions, means)  # mu*

@@ -11,7 +11,7 @@ float64 exactly.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +35,9 @@ class BundleManifest:
     seed: int | None = None
 
     def to_dict(self):
-        out = {
-            "d": self.d,
-            "T": self.T,
-            "M": self.M,
-            "machine_files": list(self.machine_files),
-            "created_by": self.created_by,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
+        out = asdict(self)
+        if self.seed is None:
+            del out["seed"]
         return out
 
     @classmethod

@@ -1,13 +1,30 @@
 """Command-line interface: flags, file contracts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaincombine
 from chaincombine import validate_bundle
 from chaincombine.cli import main
 from chaincombine.io import read_bundle, read_matrix, write_bundle
+
+
+def test_import_loads_numpy_only():
+    # Every CLI call is its own process, so the import is paid each time;
+    # the package runs on numpy alone and must not pull scipy in.
+    src = str(Path(chaincombine.__file__).resolve().parents[1])
+    code = ("import sys, chaincombine, chaincombine.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -93,6 +110,18 @@ class TestCombineCommand:
                      "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "error: SingularCovariance" in capsys.readouterr().err
+
+    def test_partly_constant_machine_is_validation_error(self, tmp_path, capsys):
+        # Only component 0 of machine 1 is constant: the covariance has a
+        # positive trace, so this is a degenerate chain, not a singular one.
+        values = np.random.default_rng(2).standard_normal((2, 500, 3))
+        values[0, :, 1] = 0.7
+        manifest = tmp_path / "partly.json"
+        write_bundle(validate_bundle(values), manifest)
+        code = main(["combine", "--method", "semiparam-dpe",
+                     "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: DegenerateChain" in capsys.readouterr().err
 
 
 class TestMetricCommand:

@@ -110,6 +110,16 @@ class TestSampler:
         assert code == 2
         assert "error: DegenerateChain" in capsys.readouterr().err
 
+    def test_partly_constant_machine_refused(self):
+        # A component that is constant on one machine while the others vary
+        # would be floored to a near-infinite precision and pin the pooled
+        # draws at the constant; like the consensus rules, the sampler
+        # refuses it.
+        values = np.random.default_rng(4).standard_normal((2, 500, 3))
+        values[0, :, 1] = 0.7
+        with pytest.raises(DegenerateChain, match="machine 1 component 0"):
+            semiparametric_dpe(validate_bundle(values))
+
     def test_single_machine_small_bandwidth_is_near_bootstrap(self):
         # With one machine and a bandwidth well below the sample spread the
         # estimator resamples the input draws, so first and second moments

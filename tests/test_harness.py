@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chaincombine import harness
 from chaincombine import (
     DegenerateChain,
     MhConfig,
@@ -23,6 +24,7 @@ from chaincombine import (
     split_logistic_rows,
 )
 from chaincombine.harness import (
+    _expit,
     _gamma_log_posterior,
     _gamma_support,
     _logistic_log_likelihood,
@@ -47,6 +49,31 @@ class TestSimulateLogistic:
         info = (problem.x * (p * (1.0 - p))[:, None]).T @ problem.x
         se = np.sqrt(np.diag(np.linalg.inv(info)))
         assert np.all(np.abs(beta_hat - BETA_REFERENCE) < 3.0 * se)
+
+    def test_mode_zeroes_the_score(self):
+        # Newton's method converges quadratically, so the score
+        # X^T (y - p) vanishes at the returned mode to rounding error.
+        problem = simulate_logistic_data(20000, BETA_REFERENCE, seed=1)
+        beta_hat = _logistic_mode(problem.x, problem.y)
+        score = problem.x.T @ (problem.y - _expit(problem.x @ beta_hat))
+        assert np.abs(score).max() <= 1e-8
+
+    @pytest.mark.parametrize("design", ["separable", "duplicated-column"])
+    def test_rank_deficient_mode_is_finite(self, design):
+        # Separable outcomes have no finite maximum and a duplicated column
+        # makes X^T W X singular; neither may raise, warn or leave non-finite
+        # coefficients.
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((200, 3))
+        if design == "separable":
+            y = (x[:, 0] + 0.5 * x[:, 1] > 0.0).astype(float)
+        else:
+            x[:, 1] = x[:, 0]
+            y = (rng.uniform(size=200) < _expit(x @ [0.5, 0.5, -1.0])).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta_hat = _logistic_mode(x, y)
+        assert np.all(np.isfinite(beta_hat))
 
     def test_deterministic(self):
         a = simulate_logistic_data(100, BETA_REFERENCE, seed=3)
@@ -85,9 +112,11 @@ class TestLogisticPosterior:
             sd = draws.std(axis=1, ddof=1)
             assert np.all(np.abs(mean - BETA_REFERENCE) < 3.0 * sd)
 
-    def test_flat_prior_constant_cancels_in_acceptance(self):
+    def test_flat_prior_constant_cancels_in_acceptance(self, monkeypatch):
         # Adding a constant to the log target must leave every Metropolis
         # decision unchanged: same seed, same proposal factor, same chain.
+        monkeypatch.setattr(harness, "_proposal_cholesky", lambda f, x: np.eye(2))
+
         def log_target(x):
             return -0.5 * float(x @ x)
 
@@ -97,9 +126,8 @@ class TestLogisticPosterior:
         # burnin=0 freezes the proposal scale: any difference could only
         # come from the accept/reject decisions themselves.
         config = MhConfig(iterations=2000, burnin=0, seed=11)
-        chol = np.eye(2)
-        a, _ = adaptive_random_walk(log_target, np.zeros(2), config, proposal_chol=chol)
-        b, _ = adaptive_random_walk(shifted, np.zeros(2), config, proposal_chol=chol)
+        a, _ = adaptive_random_walk(log_target, np.zeros(2), config)
+        b, _ = adaptive_random_walk(shifted, np.zeros(2), config)
         np.testing.assert_array_equal(a, b)
 
 

@@ -1,17 +1,32 @@
-"""Property tests over random shapes: machine moments and affine maps.
+"""Property tests over random shapes: machine moments, affine maps, the
+bundle file round trip and row partitioning.
 
-Hypothesis picks the shapes and a seed; the data come from a numpy
-generator with that seed, so every example is well-scaled Gaussian noise
-rather than an adversarial float pattern.
+For the statistical properties Hypothesis picks the shapes and a seed,
+and the data come from a numpy generator with that seed, so every
+example is well-scaled Gaussian noise.  The file round trip instead
+takes its values from Hypothesis directly, adversarial digit patterns
+included, since exact serialization is what it checks.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from chaincombine import consensus_covariance, machine_moments, validate_bundle
+from chaincombine import (
+    consensus_covariance,
+    machine_moments,
+    partition_rows,
+    validate_bundle,
+)
+from chaincombine.io import read_bundle, write_bundle
 
 seeds = st.integers(0, 2**32 - 1)
+magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+finite_values = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v))
 
 
 @settings(deadline=None, max_examples=60)
@@ -67,3 +82,45 @@ def test_consensus_covariance_affine_equivariance(d, T, M, seed):
     got = consensus_covariance(mapped).values
 
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    values=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 3)),
+        elements=finite_values,
+    )
+)
+def test_bundle_file_round_trip_is_bitwise(values):
+    bundle = validate_bundle(values)
+    with tempfile.TemporaryDirectory() as directory:
+        manifest = Path(directory) / "bundle.json"
+        write_bundle(bundle, manifest)
+        back = read_bundle(manifest)
+    assert back.values.shape == values.shape
+    np.testing.assert_array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 60),
+    width=st.integers(1, 3),
+    shard_share=st.floats(0.0, 1.0),
+    seed=seeds,
+)
+def test_partition_rows_keeps_the_row_multiset(n, width, shard_share, seed):
+    # Values from a small integer range, so repeated rows are common and
+    # the multiset, not just the set, is what the check compares.
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 3, size=(n, width)).astype(float)
+    n_shards = 1 + int(shard_share * (n - 1))
+
+    shards = partition_rows(data, n_shards, seed=seed)
+
+    sizes = [shard.shape[0] for shard in shards]
+    assert len(shards) == n_shards and max(sizes) - min(sizes) <= 1
+    rebuilt = np.vstack(shards)
+    np.testing.assert_array_equal(
+        rebuilt[np.lexsort(rebuilt.T)], data[np.lexsort(data.T)]
+    )
