@@ -27,7 +27,6 @@ from .combiners import (
     semiparametric_dpe,
 )
 from .density import (
-    DensityEstimate,
     density_pair,
     kde_1d,
     relative_l2_distance,
@@ -76,7 +75,6 @@ __all__ = [
     "consensus_covariance",
     "bandwidth_schedule",
     "semiparametric_dpe",
-    "DensityEstimate",
     "silverman_bandwidth",
     "kde_1d",
     "density_pair",

@@ -186,10 +186,9 @@ def run_metric(args):
 
 def _write_density_pair(stem, index, full_samples, combined_samples):
     """One CSV of (grid, p_full, p_combined) triples per parameter."""
-    est_full, est_comb = density_pair(full_samples, combined_samples)
     stem = Path(stem)
     path = stem.with_name(f"{stem.stem}.p{index + 1}{stem.suffix or '.csv'}")
-    table = np.column_stack([est_full.grid, est_full.values, est_comb.values])
+    table = np.column_stack(density_pair(full_samples, combined_samples))
     np.savetxt(path, table, fmt=FLOAT_FORMAT, delimiter=",")
 
 

@@ -95,38 +95,11 @@ def _check_finite(values):
         raise NonFiniteValue(f"non-finite value at index ({pos})")
 
 
-def validate_bundle(raw, d=None, T=None, M=None):
-    """Build a :class:`SubposteriorBundle` from a raw array.
-
-    ``raw`` may already have shape (d, T, M), in which case the claimed
-    dimensions (if given) are cross-checked, or it may be flat, in which
-    case all three dimensions are required and the data is interpreted
-    in C order.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the element count differs from d*T*M.
-    NonFiniteValue
-        On the first NaN or infinity, reporting its index.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim == 3:
-        claimed = (d, T, M)
-        for axis, want in enumerate(claimed):
-            if want is not None and raw.shape[axis] != want:
-                raise DimensionMismatch(
-                    f"claimed dims (d={d}, T={T}, M={M}) do not match "
-                    f"array shape {raw.shape}"
-                )
-        return SubposteriorBundle(raw)
-    if d is None or T is None or M is None:
-        raise DimensionMismatch("flat input requires explicit d, T and M")
-    if raw.size != d * T * M:
-        raise DimensionMismatch(
-            f"expected {d * T * M} values for (d={d}, T={T}, M={M}), got {raw.size}"
-        )
-    return SubposteriorBundle(raw.reshape(d, T, M))
+def validate_bundle(values):
+    """The :class:`SubposteriorBundle` of a (d, T, M) array: raises
+    :class:`DimensionMismatch` on any other shape and
+    :class:`NonFiniteValue` on the first NaN or infinity."""
+    return SubposteriorBundle(values)
 
 
 def shuffle_within_machines(bundle, seed):

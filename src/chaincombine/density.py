@@ -6,8 +6,6 @@ Gaussian kernel and report ||p_full - p_combined|| / ||p_full|| under
 trapezoidal integration.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateChain, NonPositiveBandwidth
@@ -15,28 +13,6 @@ from .errors import DegenerateChain, NonPositiveBandwidth
 GRID_SIZE = 512
 GRID_PAD_BANDWIDTHS = 3.0
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """A 1-D density evaluated on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        if self.bandwidth <= 0.0:
-            raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.bandwidth}")
-        if np.any(np.diff(self.grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(self.values < 0.0):
-            raise ValueError("density values must be nonnegative")
-
-    @property
-    def mass(self):
-        """Trapezoidal integral of the estimate over its grid."""
-        return float(np.trapezoid(self.values, self.grid))
 
 
 def silverman_bandwidth(samples, d=1):
@@ -59,7 +35,8 @@ def silverman_bandwidth(samples, d=1):
 def kde_1d(samples, grid, bandwidth):
     """Gaussian-kernel density estimate of ``samples`` on ``grid``.
 
-    values[g] = (1 / (T h)) * sum_t phi((grid[g] - samples[t]) / h).
+    Returns the (G,) array values[g] = (1 / (T h)) * sum_t
+    phi((grid[g] - samples[t]) / h).
     """
     if bandwidth <= 0.0:
         raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth}")
@@ -72,13 +49,14 @@ def kde_1d(samples, grid, bandwidth):
     for start in range(0, grid.size, chunk):
         z = (grid[start:start + chunk, None] - samples[None, :]) / bandwidth
         values[start:start + chunk] = np.exp(-0.5 * z * z).sum(axis=1) * scale
-    return DensityEstimate(grid=grid, values=values, bandwidth=float(bandwidth))
+    return values
 
 
 def density_pair(full_samples, combined_samples):
     """KDEs of both sample sets on a shared grid covering both.
 
-    Each density gets its own rule-of-thumb bandwidth; the grid spans the
+    Returns ``(grid, p_full, p_combined)``, three (G,) arrays.  Each
+    density gets its own rule-of-thumb bandwidth; the grid spans the
     union of both sample ranges padded by three of the larger bandwidth,
     which keeps the truncated tail mass negligible.
     """
@@ -90,7 +68,7 @@ def density_pair(full_samples, combined_samples):
     lo = min(full_samples.min(), combined_samples.min()) - pad
     hi = max(full_samples.max(), combined_samples.max()) + pad
     grid = np.linspace(lo, hi, GRID_SIZE)
-    return kde_1d(full_samples, grid, h_full), kde_1d(combined_samples, grid, h_comb)
+    return grid, kde_1d(full_samples, grid, h_full), kde_1d(combined_samples, grid, h_comb)
 
 
 def relative_l2_distance(full_samples, combined_samples):
@@ -100,8 +78,8 @@ def relative_l2_distance(full_samples, combined_samples):
     estimated by :func:`kde_1d` on a shared grid.  The normalization is
     by the full-data density, so the arguments are not interchangeable.
     """
-    est_full, est_comb = density_pair(full_samples, combined_samples)
-    diff = est_full.values - est_comb.values
-    num = np.sqrt(np.trapezoid(diff * diff, est_full.grid))
-    den = np.sqrt(np.trapezoid(est_full.values**2, est_full.grid))
+    grid, p_full, p_comb = density_pair(full_samples, combined_samples)
+    diff = p_full - p_comb
+    num = np.sqrt(np.trapezoid(diff * diff, grid))
+    den = np.sqrt(np.trapezoid(p_full**2, grid))
     return float(num / den)

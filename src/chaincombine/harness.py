@@ -39,9 +39,13 @@ TARGET_ACCEPT_MULTIVARIATE = 0.234
 
 ACCEPTANCE_HEALTHY = (0.1, 0.6)
 
-# Newton's method for the logistic mode stops at a step this small or this many steps.
+# Newton's method for the logistic mode stops at a step this small; a mode
+# not reached in this many steps does not exist.
 MODE_STEP_TOL = 1e-10
 MODE_MAX_STEPS = 50
+
+# Central-difference step for the proposal Hessian, relative to max(|x|, 1).
+HESSIAN_REL_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,12 @@ class MhConfig:
     With ``thin`` > 1 the chain advances ``thin`` Metropolis steps per
     retained draw; random-walk chains decorrelate over roughly 2-4x the
     parameter count in steps, so thinning buys near-independent retained
-    draws at proportional cost.  ``target_accept`` defaults to 0.44 for
-    one-parameter targets and 0.234 otherwise.
+    draws at proportional cost.
     """
 
     iterations: int = 50_000
     burnin: int = 2_000
     seed: int = 0
-    target_accept: float | None = None
     thin: int = 1
 
     def __post_init__(self):
@@ -97,13 +99,6 @@ class MhConfig:
             raise ValueError("burnin must be >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.target_accept is not None and not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
-
-    def resolved_target(self, d):
-        if self.target_accept is not None:
-            return self.target_accept
-        return TARGET_ACCEPT_SCALAR if d == 1 else TARGET_ACCEPT_MULTIVARIATE
 
 
 def _expit(z):
@@ -173,11 +168,11 @@ def gaussian_product_oracle(means, covs):
     return mean_star, cov_star
 
 
-def _finite_difference_hessian(log_density, x, rel_step=1e-4):
+def _finite_difference_hessian(log_density, x):
     """Central-difference Hessian, used to shape the proposal covariance."""
     x = np.asarray(x, dtype=float)
     d = x.size
-    steps = rel_step * np.maximum(np.abs(x), 1.0)
+    steps = HESSIAN_REL_STEP * np.maximum(np.abs(x), 1.0)
     hess = np.empty((d, d))
     basis = np.diag(steps)
     for i in range(d):
@@ -223,7 +218,7 @@ def adaptive_random_walk(log_density, start, config, support=None):
     """
     start = np.asarray(start, dtype=float)
     d = start.size
-    target = config.resolved_target(d)
+    target = TARGET_ACCEPT_SCALAR if d == 1 else TARGET_ACCEPT_MULTIVARIATE
     rng = np.random.default_rng(config.seed)
     chol = _proposal_cholesky(log_density, start)
 
@@ -283,18 +278,23 @@ def _logistic_log_likelihood(x, y):
 
 def _logistic_mode(x, y):
     """Maximum-likelihood coefficients, the chain's starting point: Newton's
-    method from beta = 0 with W = diag(p (1 - p)).  Each step is a
-    least-squares solve, so a rank-deficient X^T W X (a duplicated column,
-    separable outcomes) still gives a finite minimum-norm step."""
+    method from beta = 0 with W = diag(p (1 - p)), each step a least-squares
+    solve, so a duplicated column still gives a finite step.  Separable
+    outcomes have no finite maximum and an improper posterior; steps that
+    never fall below MODE_STEP_TOL, or an all-zero W, raise DegenerateChain."""
     beta = np.zeros(x.shape[1])
     for _ in range(MODE_MAX_STEPS):
         p = _expit(x @ beta)
-        hess = (x.T * (p * (1.0 - p))) @ x
+        weights = p * (1.0 - p)
+        if not weights.any():
+            break
+        hess = (x.T * weights) @ x
         step = np.linalg.lstsq(hess, x.T @ (y - p), rcond=None)[0]
         beta += step
         if np.abs(step).max() < MODE_STEP_TOL:
-            break
-    return beta
+            return beta
+    raise DegenerateChain(f"logistic likelihood on {x.shape[0]} rows has no finite "
+                          "maximum (separable outcomes?); the posterior is improper")
 
 
 def sample_logistic_posterior(x, y, config):

@@ -11,6 +11,7 @@ float64 exactly.
 """
 
 import json
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -72,14 +73,17 @@ def read_matrix(path):
 
     Raises :class:`FileMissing` if the file does not exist and
     :class:`ParseError` (naming file, line and column) when a field is
-    not a number or a row has the wrong width.
+    not a number or a row has the wrong width, or when no line holds data.
     """
     path = Path(path)
     if not path.exists():
         raise FileMissing(f"matrix file not found: {path}")
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy warns, and returns a 0 x 1 array, on a file without data.
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, UserWarning):
         _diagnose_matrix(path)
         raise  # unreachable unless the file changed under us
 
@@ -108,6 +112,8 @@ def _diagnose_matrix(path):
                         f"{path}: line {line_no}, column {col_no}: "
                         f"not a number: {token!r}"
                     ) from None
+    if width is None:
+        raise ParseError(f"{path}: file holds no data")
     raise ParseError(f"{path}: file could not be parsed as a numeric matrix")
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,21 @@ class TestCombineCommand:
         assert code == 2
         assert "error: DegenerateChain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["", "\n\n", " \n\t\n"])
+    def test_empty_machine_file_is_parse_error(self, tmp_path, bundle_manifest, capsys,
+                                               content):
+        # numpy's loadtxt only warns on a file without data and returns a
+        # 0 x 1 array.  The warning must not reach the caller: under an
+        # error filter it used to escape as a traceback.
+        (bundle_manifest.parent / "machine_2.csv").write_text(content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["combine", "--method", "sample-avg",
+                         "--bundle", str(bundle_manifest), "--out", str(tmp_path / "x.csv")])
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err
+        assert "error: ParseError" in err and "machine_2.csv" in err
+
 
 class TestMetricCommand:
     def test_identical_files_all_zero(self, tmp_path, bundle_manifest, capsys):
@@ -162,6 +178,18 @@ class TestMetricCommand:
         assert code == 2
         assert "error: DimensionMismatch" in capsys.readouterr().err
 
+    def test_empty_combined_file_is_parse_error(self, tmp_path, capsys):
+        full = tmp_path / "full.csv"
+        empty = tmp_path / "empty.csv"
+        np.savetxt(full, np.random.default_rng(2).standard_normal((50, 2)), delimiter=",")
+        empty.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["metric", "--full", str(full), "--combined", str(empty)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ParseError" in err and "empty.csv" in err
+
 
 class TestHarnessCommand:
     def test_gamma_run_writes_all_outputs(self, tmp_path):
@@ -189,6 +217,16 @@ class TestHarnessCommand:
         assert (bundle.d, bundle.T, bundle.M) == (5, 300, 3)
         record = json.loads((out_dir / "run.json").read_text())
         assert record["beta_true"] == [0.47, -1.70, 0.54, -0.90, 0.86]
+
+    def test_separable_shard_is_validation_error(self, tmp_path, capsys):
+        # Four rows and five covariates: each shard's outcomes are
+        # separable, so its flat-prior posterior is improper and the chain
+        # would wander off to draws of order 1e15.
+        code = main(["harness", "--model", "logistic", "--n", "20", "--shards", "5",
+                     "--iters", "50", "--burnin", "10", "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert "error: DegenerateChain" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "bundle.json").exists()
 
     def test_rerun_with_same_seed_byte_identical(self, tmp_path):
         args = ["harness", "--model", "gamma", "--n", "1000", "--shards", "2",

@@ -13,16 +13,6 @@ from chaincombine import (
 
 
 class TestValidateBundle:
-    def test_well_formed_flat_input(self):
-        raw = np.arange(12.0)
-        bundle = validate_bundle(raw, d=2, T=3, M=2)
-        assert (bundle.d, bundle.T, bundle.M) == (2, 3, 2)
-        np.testing.assert_array_equal(bundle.values, raw.reshape(2, 3, 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            validate_bundle(np.arange(11.0), d=2, T=3, M=2)
-
     def test_nan_reports_index(self):
         raw = np.zeros((2, 3, 2))
         raw[1, 2, 0] = np.nan
@@ -34,12 +24,6 @@ class TestValidateBundle:
         raw[0, 0, 0] = np.inf
         with pytest.raises(NonFiniteValue):
             SubposteriorBundle(raw)
-
-    def test_shaped_input_cross_checks_claimed_dims(self):
-        raw = np.zeros((2, 3, 2))
-        assert validate_bundle(raw, d=2, T=3, M=2).T == 3
-        with pytest.raises(DimensionMismatch):
-            validate_bundle(raw, d=3, T=3, M=2)
 
     def test_flat_input_requires_dims(self):
         with pytest.raises(DimensionMismatch):

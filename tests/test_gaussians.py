@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from chaincombine.combiners import spd_inverse
 from chaincombine.errors import SingularCovariance
-from chaincombine.gaussians import spd_inverse
 
 
 def random_spd(rng, d, scale=1.0):

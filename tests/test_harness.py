@@ -60,9 +60,10 @@ class TestSimulateLogistic:
 
     @pytest.mark.parametrize("design", ["separable", "duplicated-column"])
     def test_rank_deficient_mode_is_finite(self, design):
-        # Separable outcomes have no finite maximum and a duplicated column
-        # makes X^T W X singular; neither may raise, warn or leave non-finite
-        # coefficients.
+        # A duplicated column makes X^T W X singular; the mode must still
+        # come out finite, with no warning.  Separable outcomes have no
+        # finite maximum at all, so they must raise DegenerateChain, also
+        # with no warning on the way.
         rng = np.random.default_rng(42)
         x = rng.standard_normal((200, 3))
         if design == "separable":
@@ -72,8 +73,21 @@ class TestSimulateLogistic:
             y = (rng.uniform(size=200) < _expit(x @ [0.5, 0.5, -1.0])).astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if design == "separable":
+                with pytest.raises(DegenerateChain, match="no finite maximum"):
+                    _logistic_mode(x, y)
+                return
             beta_hat = _logistic_mode(x, y)
         assert np.all(np.isfinite(beta_hat))
+
+    def test_all_weights_underflowing_is_not_a_mode(self):
+        # Every outcome is 1, so the likelihood grows without bound in beta.
+        # Newton's steps drive every p(1 - p) to exactly zero within the
+        # step cap, where a zero step would otherwise pass for convergence.
+        x = np.array([[1.0], [2.0]])
+        y = np.array([1.0, 1.0])
+        with pytest.raises(DegenerateChain):
+            _logistic_mode(x, y)
 
     def test_deterministic(self):
         a = simulate_logistic_data(100, BETA_REFERENCE, seed=3)
@@ -195,12 +209,13 @@ class TestRunChains:
             run_chains("gamma", [good, bad], self.configs(2))
         assert caught.value.exit_code == 2
 
-    def test_warnings_reissued_in_chain_order(self):
-        # A 0.95 acceptance target drives the post-burn-in rate above the
-        # healthy range, so every chain warns.
+    def test_warnings_reissued_in_chain_order(self, monkeypatch):
+        # An empty healthy range makes every chain warn; the forked
+        # workers inherit the patched module.
+        monkeypatch.setattr(harness, "ACCEPTANCE_HEALTHY", (1.0, 0.0))
         rows = simulate_gamma_data(2000, 4.0, 2.0, seed=47).y[:, None]
         blocks = partition_rows(rows, 3, seed=48)
-        configs = self.configs(len(blocks), target_accept=0.95)
+        configs = self.configs(len(blocks))
         with pytest.warns(NonConvergenceWarning) as serial:
             for block, config in zip(blocks, configs):
                 sample_gamma_posterior(block[:, 0], config)
@@ -209,12 +224,13 @@ class TestRunChains:
         assert len(serial) == len(blocks)
         assert [str(w.message) for w in parallel] == [str(w.message) for w in serial]
 
-    def test_warning_filter_error_raises_in_caller(self):
+    def test_warning_filter_error_raises_in_caller(self, monkeypatch):
+        monkeypatch.setattr(harness, "ACCEPTANCE_HEALTHY", (1.0, 0.0))
         rows = simulate_gamma_data(1000, 4.0, 2.0, seed=49).y[:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error", NonConvergenceWarning)
             with pytest.raises(NonConvergenceWarning):
-                run_chains("gamma", [rows], self.configs(1, target_accept=0.95))
+                run_chains("gamma", [rows], self.configs(1))
 
 
 class TestSimulateGamma:
@@ -361,5 +377,3 @@ class TestAdaptiveRandomWalk:
             MhConfig(iterations=1)
         with pytest.raises(ValueError):
             MhConfig(burnin=-1)
-        with pytest.raises(ValueError):
-            MhConfig(target_accept=1.5)

@@ -1,5 +1,5 @@
 """Property tests over random shapes: machine moments, affine maps, the
-bundle file round trip and row partitioning.
+bundle file round trip, row partitioning and malformed bundle files.
 
 For the statistical properties Hypothesis picks the shapes and a seed,
 and the data come from a numpy generator with that seed, so every
@@ -8,7 +8,12 @@ takes its values from Hypothesis directly, adversarial digit patterns
 included, since exact serialization is what it checks.
 """
 
+import contextlib
+import io
+import json
+import string
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,7 @@ from chaincombine import (
     partition_rows,
     validate_bundle,
 )
+from chaincombine.cli import METHODS, main
 from chaincombine.io import read_bundle, write_bundle
 
 seeds = st.integers(0, 2**32 - 1)
@@ -124,3 +130,71 @@ def test_partition_rows_keeps_the_row_multiset(n, width, shard_share, seed):
     np.testing.assert_array_equal(
         rebuilt[np.lexsort(rebuilt.T)], data[np.lexsort(data.T)]
     )
+
+
+def _not_a_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+# Tokens that float() rejects, without the delimiter, the comment sign or
+# white space, so that each stays one field of its line.
+bad_tokens = st.text(string.ascii_letters + string.digits + "+-.", min_size=1).filter(
+    _not_a_float
+)
+
+
+@st.composite
+def malformed_bundles(draw):
+    """A valid bundle's files as (manifest dict, machine file texts), then
+    one fault put into them; returns the faulty pair."""
+    d, T, M = draw(st.integers(1, 3)), draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    seed = draw(seeds)
+    values = np.random.default_rng(seed).standard_normal((d, T, M))
+    texts = [
+        "".join(",".join(repr(v) for v in row) + "\n" for row in values[:, :, m].T)
+        for m in range(M)
+    ]
+    manifest = {"d": d, "T": T, "M": M,
+                "machine_files": [f"machine_{m + 1}.csv" for m in range(M)]}
+    fault = draw(st.sampled_from(["token", "ragged", "empty", "missing-key", "wrong-M"]))
+    m = draw(st.integers(0, M - 1))
+    lines = texts[m].splitlines()
+    t = draw(st.integers(0, T - 1))
+    fields = lines[t].split(",")
+    if fault == "token":
+        fields[draw(st.integers(0, d - 1))] = draw(bad_tokens)
+    elif fault == "ragged":
+        fields = fields[:-1] if d > 1 and draw(st.booleans()) else fields + ["0.5"]
+    lines[t] = ",".join(fields)
+    texts[m] = "\n".join(lines) + "\n"
+    if fault == "empty":
+        texts[m] = draw(st.sampled_from(["", "\n", "\n\n", " \n\t\n"]))
+    elif fault == "missing-key":
+        del manifest[draw(st.sampled_from(["d", "T", "M", "machine_files"]))]
+    elif fault == "wrong-M":
+        manifest["M"] = draw(st.integers(0, M + 2).filter(lambda k: k != M))
+    return manifest, texts
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=malformed_bundles(), method=st.sampled_from(METHODS))
+def test_malformed_bundle_files_exit_2(case, method):
+    # Bad input is a data error, exit 2: never a success (0), and never a
+    # traceback or a warning escaping (1).
+    manifest, texts = case
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        (root / "bundle.json").write_text(json.dumps(manifest))
+        for m, text in enumerate(texts):
+            (root / f"machine_{m + 1}.csv").write_text(text)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(["combine", "--method", method, "--bundle", str(root / "bundle.json"),
+                         "--out", str(root / "out.csv")])
+    assert code == 2, stderr.getvalue()
+    assert stderr.getvalue().startswith("error: ")
