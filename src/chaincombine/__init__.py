@@ -51,6 +51,7 @@ from .errors import (
     DegenerateChain,
     DimensionMismatch,
     FileMissing,
+    InvalidGrid,
     NonConvergenceWarning,
     NonFiniteValue,
     NonPositiveBandwidth,
@@ -101,6 +102,7 @@ __all__ = [
     "NonPositiveData",
     "TooManyShards",
     "FileMissing",
+    "InvalidGrid",
     "ParseError",
     "SingularCovariance",
     "NonConvergenceWarning",

@@ -29,7 +29,7 @@ from .combiners import (
     sample_average,
     semiparametric_dpe,
 )
-from .core import CombinedSamples, shuffle_within_machines, validate_bundle
+from .core import CombinedSamples, _check_finite, shuffle_within_machines, validate_bundle
 from .density import density_pair, relative_l2_distance
 from .errors import ChainCombineError, DimensionMismatch
 from .harness import (
@@ -170,6 +170,8 @@ def run_metric(args):
     """Print per-parameter relative L2 distances between two sample files."""
     full = read_samples(args.full)
     combined = read_samples(args.combined)
+    _check_finite(full, f"{args.full}: ")
+    _check_finite(combined, f"{args.combined}: ")
     if full.shape[0] != combined.shape[0]:
         raise DimensionMismatch(
             f"parameter count mismatch: full has {full.shape[0]}, "

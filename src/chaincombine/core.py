@@ -88,11 +88,11 @@ class CombinedSamples:
         return f"CombinedSamples(d={self.d}, T={self.T})"
 
 
-def _check_finite(values):
+def _check_finite(values, where=""):
     if not np.isfinite(values).all():
         idx = np.argwhere(~np.isfinite(values))[0]
         pos = ", ".join(str(k) for k in idx)
-        raise NonFiniteValue(f"non-finite value at index ({pos})")
+        raise NonFiniteValue(f"{where}non-finite value at index ({pos})")
 
 
 def validate_bundle(values):

@@ -8,11 +8,14 @@ trapezoidal integration.
 
 import numpy as np
 
-from .errors import DegenerateChain, NonPositiveBandwidth
+from .core import _check_finite
+from .errors import DegenerateChain, InvalidGrid, NonPositiveBandwidth
 
 GRID_SIZE = 512
 GRID_PAD_BANDWIDTHS = 3.0
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+KERNEL_CUTOFF_BANDWIDTHS = 8.5
+BIN_CELLS_PER_BANDWIDTH = 32
+MAX_BIN_REFINEMENT = 64
 
 
 def silverman_bandwidth(samples, d=1):
@@ -23,6 +26,7 @@ def silverman_bandwidth(samples, d=1):
     parameter vector the samples are a marginal of.
     """
     samples = np.asarray(samples, dtype=float)
+    _check_finite(samples)
     T = samples.size
     if T < 2:
         raise DegenerateChain("bandwidth selection needs at least 2 samples")
@@ -35,21 +39,46 @@ def silverman_bandwidth(samples, d=1):
 def kde_1d(samples, grid, bandwidth):
     """Gaussian-kernel density estimate of ``samples`` on ``grid``.
 
-    Returns the (G,) array values[g] = (1 / (T h)) * sum_t
-    phi((grid[g] - samples[t]) / h).
+    Approximates values[g] = (1 / (T h)) * sum_t phi((grid[g] - samples[t]) / h)
+    by linear binning (Silverman 1982; Wand 1994): each draw splits its
+    weight between its two neighbouring bins, and one convolution with the
+    kernel sampled at the bin offsets out to +-8.5 h, scaled to unit mass,
+    spreads the counts.  The bins split each grid step finely enough that
+    h spans ``BIN_CELLS_PER_BANDWIDTH`` of them (at most
+    ``MAX_BIN_REFINEMENT`` per step), which keeps the estimate within
+    about 1e-4 of the direct sum's peak.  Draws beyond the grid ends still
+    add their tails inside it.  ``grid`` must be increasing and evenly
+    spaced with at least 2 points; any other grid raises :class:`InvalidGrid`.
     """
-    if bandwidth <= 0.0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < bandwidth < np.inf:
+        raise NonPositiveBandwidth(f"bandwidth must be positive and finite, got {bandwidth}")
     samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise DegenerateChain("density estimation needs at least 1 sample")
+    _check_finite(samples)
     grid = np.asarray(grid, dtype=float)
-    values = np.empty_like(grid)
-    # Chunk the grid so the (chunk, T) broadcast stays small.
-    chunk = 128
-    scale = 1.0 / (samples.size * bandwidth * _SQRT_2PI)
-    for start in range(0, grid.size, chunk):
-        z = (grid[start:start + chunk, None] - samples[None, :]) / bandwidth
-        values[start:start + chunk] = np.exp(-0.5 * z * z).sum(axis=1) * scale
-    return values
+    if grid.ndim != 1 or grid.size < 2:
+        raise InvalidGrid(f"grid must be a 1-d array of >= 2 points, got shape {grid.shape}")
+    grid_step = (grid[-1] - grid[0]) / (grid.size - 1)
+    # linspace puts each point within a few ulps of its magnitude.
+    slack = 1e-6 * grid_step + 8.0 * np.finfo(float).eps * np.abs(grid).max()
+    if not (0.0 < grid_step < np.inf and np.all(np.abs(np.diff(grid) - grid_step) <= slack)):
+        raise InvalidGrid("grid must be increasing and evenly spaced")
+    refine = min(MAX_BIN_REFINEMENT, int(np.ceil(BIN_CELLS_PER_BANDWIDTH * grid_step / bandwidth)))
+    step = grid_step / refine
+    half = int(KERNEL_CUTOFF_BANDWIDTHS * bandwidth / step)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (step / bandwidth)) ** 2)
+    kernel /= kernel.sum() * step * samples.size
+    # Pad the bins by half + 1 a side, so that a draw just beyond either
+    # grid end keeps its tail; draws farther out add < 2e-16 and are dropped.
+    pad = half + 1
+    size = (grid.size - 1) * refine + 1 + 2 * pad
+    pos = (samples - grid[0]) / step + pad
+    pos = pos[(pos >= 0.0) & (pos < size - 1)]
+    cell = pos.astype(np.intp)
+    frac = pos - cell
+    counts = np.bincount(cell, 1.0 - frac, size) + np.bincount(cell + 1, frac, size)
+    return np.convolve(counts, kernel, mode="valid")[1:-1:refine]
 
 
 def density_pair(full_samples, combined_samples):
@@ -82,4 +111,7 @@ def relative_l2_distance(full_samples, combined_samples):
     diff = p_full - p_comb
     num = np.sqrt(np.trapezoid(diff * diff, grid))
     den = np.sqrt(np.trapezoid(p_full**2, grid))
+    if den == 0.0:
+        raise DegenerateChain("full-data density is zero at every grid point: "
+                              "its spread is far below the grid step")
     return float(num / den)

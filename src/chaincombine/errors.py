@@ -35,6 +35,10 @@ class NonPositiveBandwidth(ValidationError):
     """A kernel bandwidth was zero or negative."""
 
 
+class InvalidGrid(ValidationError):
+    """A density grid is not increasing, evenly spaced and >= 2 points long."""
+
+
 class NonPositiveData(ValidationError):
     """Data values must be strictly positive for this model."""
 

@@ -89,11 +89,14 @@ def read_matrix(path):
 
 
 def _diagnose_matrix(path):
-    """Re-parse a bad matrix file to pin down the offending field."""
+    """Re-read a bad matrix file by loadtxt's rules to pin down the
+    offending field: a ``#`` starts a comment, a line left empty is
+    skipped, a line of white space is one field, and each field is
+    converted by loadtxt itself."""
     width = None
     with open(path, "r") as handle:
         for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+            line = line.split("#", 1)[0].rstrip("\n")
             if not line:
                 continue
             fields = line.split(",")
@@ -106,7 +109,7 @@ def _diagnose_matrix(path):
                 )
             for col_no, token in enumerate(fields, start=1):
                 try:
-                    float(token)
+                    np.loadtxt([line], delimiter=",", usecols=[col_no - 1])
                 except ValueError:
                     raise ParseError(
                         f"{path}: line {line_no}, column {col_no}: "

@@ -190,6 +190,25 @@ class TestMetricCommand:
         err = capsys.readouterr().err
         assert "error: ParseError" in err and "empty.csv" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["full", "combined"])
+    def test_non_finite_draw_is_validation_error(self, tmp_path, capsys, which, bad):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("full", "combined")}
+        rng = np.random.default_rng(4)
+        for path in paths.values():
+            np.savetxt(path, rng.standard_normal((50, 2)), delimiter=",")
+        rows = paths[which].read_text().splitlines()
+        rows[7] = f"0.5,{bad}"
+        paths[which].write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["metric", "--full", str(paths["full"]),
+                         "--combined", str(paths["combined"])])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: NonFiniteValue" in err and f"{which}.csv" in err
+
 
 class TestHarnessCommand:
     def test_gamma_run_writes_all_outputs(self, tmp_path):

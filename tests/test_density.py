@@ -1,16 +1,65 @@
-"""Bandwidth rule, kernel density estimate and relative L2 distance."""
+"""Bandwidth rule, kernel density estimate and relative L2 distance.
+
+``kde_1d`` is a linearly binned estimator.  The direct kernel sum below is
+the reference that ``TestBinnedAgainstDirect`` holds it to.
+"""
 
 import numpy as np
 import pytest
 
 from chaincombine import (
     DegenerateChain,
+    InvalidGrid,
+    NonFiniteValue,
     NonPositiveBandwidth,
     density_pair,
     kde_1d,
     relative_l2_distance,
     silverman_bandwidth,
 )
+
+
+def direct_kde(samples, grid, bandwidth):
+    """Reference estimate: (1 / (T h)) sum_t phi((grid - samples[t]) / h)."""
+    z = (np.asarray(grid)[:, None] - np.asarray(samples)[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * bandwidth * np.sqrt(2.0 * np.pi))
+
+
+def direct_pair(full_samples, combined_samples):
+    """``density_pair``'s grid and bandwidths with the reference estimates."""
+    grid, _, _ = density_pair(full_samples, combined_samples)
+    return (grid,
+            direct_kde(full_samples, grid, silverman_bandwidth(full_samples)),
+            direct_kde(combined_samples, grid, silverman_bandwidth(combined_samples)))
+
+
+def direct_distance(full_samples, combined_samples):
+    grid, p_full, p_comb = direct_pair(full_samples, combined_samples)
+    return float(np.sqrt(np.trapezoid((p_full - p_comb) ** 2, grid))
+                 / np.sqrt(np.trapezoid(p_full**2, grid)))
+
+
+def draws(shape, T, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "normal":
+        return rng.standard_normal(T)
+    if shape == "gamma":
+        return rng.gamma(2.0, size=T)
+    return np.where(rng.random(T) < 0.4, -3.0, 2.0) + rng.standard_normal(T)
+
+
+def scored_pairs(shape, T):
+    """The draws of ``shape`` against a normal partner whose spread is 1,
+    5 or 20 times narrower or wider, in both argument orders."""
+    x = draws(shape, T, seed=T)
+    partner = draws("normal", T, seed=T + 1) * x.std()
+    for ratio in (1.0, 5.0, 20.0, 1 / 5, 1 / 20):
+        yield x, partner / ratio
+        yield partner / ratio, x
+
+
+SHAPES_AND_SIZES = [(shape, T) for shape in ("normal", "gamma", "bimodal")
+                    for T in (200, 1000, 10000)]
 
 
 class TestSilvermanBandwidth:
@@ -83,6 +132,44 @@ class TestKde1d:
         assert np.all(p_a >= 0.0)
 
 
+class TestBinnedAgainstDirect:
+    @pytest.mark.parametrize("shape, T", SHAPES_AND_SIZES)
+    def test_densities_within_1e_3_of_peak(self, shape, T):
+        for full, combined in scored_pairs(shape, T):
+            _, p_full, p_comb = density_pair(full, combined)
+            _, ref_full, ref_comb = direct_pair(full, combined)
+            assert np.abs(p_full - ref_full).max() <= 1e-3 * ref_full.max()
+            assert np.abs(p_comb - ref_comb).max() <= 1e-3 * ref_comb.max()
+
+    @pytest.mark.parametrize("shape, T", SHAPES_AND_SIZES)
+    def test_distance_within_1e_4(self, shape, T):
+        for full, combined in scored_pairs(shape, T):
+            assert relative_l2_distance(full, combined) == pytest.approx(
+                direct_distance(full, combined), abs=1e-4)
+
+    def test_draws_beyond_both_grid_ends_add_their_tails(self):
+        # A third of the draws lie off a grid that spans +-1 sd; each must
+        # add its kernel tail inside the grid, not pile onto an end point.
+        samples = np.random.default_rng(10).standard_normal(3000)
+        grid = np.linspace(-1.0, 1.0, 101)
+        est = kde_1d(samples, grid, 0.3)
+        ref = direct_kde(samples, grid, 0.3)
+        np.testing.assert_allclose(est, ref, rtol=0.0, atol=1e-3 * ref.max())
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 3.0], [0.5], np.linspace(1.0, -1.0, 9)],
+                             ids=["uneven", "one-point", "decreasing"])
+    def test_grid_must_be_even_increasing_and_two_points(self, grid):
+        with pytest.raises(InvalidGrid, match="grid must"):
+            kde_1d([0.0, 0.2], grid, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_rejected(self, bad):
+        with pytest.raises(NonFiniteValue):
+            kde_1d([0.0, bad, 0.3], np.linspace(-1.0, 1.0, 16), 0.5)
+        with pytest.raises(NonFiniteValue):
+            relative_l2_distance([0.0, 0.5, 0.3], [0.1, bad, 0.2])
+
+
 class TestRelativeL2Distance:
     def test_identical_samples_give_zero_exactly(self):
         rng = np.random.default_rng(4)
@@ -126,6 +213,15 @@ class TestRelativeL2Distance:
         for scale, shift in ((2.0, 5.0), (-0.5, 1.0)):
             mapped = relative_l2_distance(scale * a + shift, scale * b + shift)
             assert mapped == pytest.approx(base, abs=1e-3)
+
+    def test_full_density_vanishing_on_the_grid_rejected(self):
+        # Full draws 1e5 times narrower than the combined ones sit between
+        # two grid points, 0.004 from the nearest, at a bandwidth of about 3e-6.
+        rng = np.random.default_rng(11)
+        wide = rng.standard_normal(1000)
+        narrow = 0.004 + 1e-5 * rng.standard_normal(1000)
+        with pytest.raises(DegenerateChain, match="zero at every grid point"):
+            relative_l2_distance(narrow, wide)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)

@@ -42,15 +42,21 @@ class TestMatrixFiles:
 
     def test_parse_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(ParseError, match=r"line 2, column 2"):
-            read_matrix(path)
+        # float() reads "1_0" as 10; loadtxt, which reads the file, does not.
+        for text, where in (("1.0,2.0\n3.0,oops\n", r"line 2, column 2"),
+                            ("1_0,2\n3,4\n", r"line 1, column 1: not a number")):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=where):
+                read_matrix(path)
 
     def test_ragged_rows_report_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ParseError, match=r"line 2"):
-            read_matrix(path)
+        # loadtxt skips an empty line but reads a blank one as one field.
+        for text, where in (("1.0,2.0\n3.0\n", r"line 2"),
+                            ("1,2\n \n3,4\n", r"line 2 has 1 fields, expected 2")):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=where):
+                read_matrix(path)
 
 
 class TestBundleFiles:

@@ -1,5 +1,6 @@
-"""Property tests over random shapes: machine moments, affine maps, the
-bundle file round trip, row partitioning and malformed bundle files.
+"""Property tests over random shapes: machine moments, affine maps,
+machine order, the bundle file round trip, row partitioning and
+malformed bundle files.
 
 For the statistical properties Hypothesis picks the shapes and a seed,
 and the data come from a numpy generator with that seed, so every
@@ -23,8 +24,10 @@ from hypothesis.extra.numpy import arrays
 
 from chaincombine import (
     consensus_covariance,
+    consensus_independent,
     machine_moments,
     partition_rows,
+    sample_average,
     validate_bundle,
 )
 from chaincombine.cli import METHODS, main
@@ -88,6 +91,31 @@ def test_consensus_covariance_affine_equivariance(d, T, M, seed):
     got = consensus_covariance(mapped).values
 
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 4),
+    T=st.integers(2, 40),
+    M=st.integers(1, 5),
+    seed=seeds,
+    data=st.data(),
+)
+def test_linear_combiners_ignore_machine_order(d, T, M, seed, data):
+    # The density-product sampler is left out: its random stream walks the
+    # machines in order, so permuting them changes its draws.
+    T = max(T, 4 * d + 4)
+    rng = np.random.default_rng(seed)
+    values = (rng.uniform(0.5, 2.0, size=(d, 1, M)) * rng.standard_normal((d, T, M))
+              + rng.standard_normal((d, 1, M)))
+    order = data.draw(st.permutations(range(M)))
+    bundle = validate_bundle(values)
+    permuted = validate_bundle(values[:, :, order])
+
+    for combine in (sample_average, consensus_independent, consensus_covariance):
+        expected = combine(bundle).values
+        np.testing.assert_allclose(combine(permuted).values, expected,
+                                   rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 @settings(deadline=None, max_examples=60)
