@@ -20,7 +20,7 @@ import chaincombine as cc
 print("annealing schedule h(t) = t^(-1/(4+d)) with bandw = 1:")
 print("        t:      1      2      8     32    512  10000")
 for d in (1, 2, 5):
-    row = [cc.bandwidth_schedule(t, d, [1.0])[0] for t in (1, 2, 8, 32, 512, 10000)]
+    row = [t ** (-1.0 / (4.0 + d)) for t in (1, 2, 8, 32, 512, 10000)]
     print(f"   d = {d}: " + " ".join(f"{h:6.3f}" for h in row))
 print()
 

@@ -19,7 +19,6 @@ from .core import (
 )
 from .combiners import (
     DpeConfig,
-    bandwidth_schedule,
     consensus_covariance,
     consensus_independent,
     machine_moments,
@@ -74,7 +73,6 @@ __all__ = [
     "sample_average",
     "consensus_independent",
     "consensus_covariance",
-    "bandwidth_schedule",
     "semiparametric_dpe",
     "silverman_bandwidth",
     "kde_1d",

@@ -20,7 +20,6 @@ __all__ = [
     "sample_average",
     "consensus_independent",
     "consensus_covariance",
-    "bandwidth_schedule",
     "semiparametric_dpe",
 ]
 
@@ -58,17 +57,22 @@ class DpeConfig:
         return bandw
 
 
-def _weighted_mean_over_machines(values, weights):
-    """Weighted average over the machine axis of a (d, T, M) array.
+def _pool(bundle, weights):
+    """Draw-by-draw pooling ``(sum_m W_m)^-1 sum_m W_m x_m`` with (M, d, d)
+    machine weights ``W_m``.
 
-    ``weights`` has shape (d, M).  Weights are normalized by their
-    per-component maximum first; besides guarding against overflow this
-    makes the equal-weight case reduce to the plain average bitwise.
+    Row i of every ``W_m`` is divided by ``max_m |W_m[i, i]|`` first,
+    which leaves the solution unchanged, guards against overflow and
+    makes equal weights exactly the identity.
     """
-    norm = weights / weights.max(axis=1, keepdims=True)
-    numer = np.einsum("dtm,dm->dt", values, norm)
-    denom = norm.sum(axis=1)
-    return numer / denom[:, None]
+    diag = np.diagonal(weights, axis1=1, axis2=2)
+    norm = weights / np.abs(diag).max(axis=0)[:, None]
+    weighted = np.einsum("mij,jtm->it", norm, bundle.values, optimize=True)
+    try:
+        pooled = np.linalg.solve(norm.sum(axis=0), weighted)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("sum of machine precisions is singular") from exc
+    return CombinedSamples(pooled)
 
 
 def sample_average(bundle):
@@ -79,8 +83,7 @@ def sample_average(bundle):
     """
     if bundle.M == 1:
         return CombinedSamples(bundle.values[:, :, 0])
-    weights = np.ones((bundle.d, bundle.M))
-    return CombinedSamples(_weighted_mean_over_machines(bundle.values, weights))
+    return _pool(bundle, np.broadcast_to(np.eye(bundle.d), (bundle.M, bundle.d, bundle.d)))
 
 
 def machine_moments(bundle):
@@ -140,10 +143,8 @@ def consensus_independent(bundle):
         return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
     _require_positive_variances(bundle)
-    variances = np.diagonal(covs, axis1=1, axis2=2).T  # (d, M)
-    return CombinedSamples(
-        _weighted_mean_over_machines(bundle.values, 1.0 / variances)
-    )
+    variances = np.diagonal(covs, axis1=1, axis2=2)  # (M, d)
+    return _pool(bundle, np.eye(bundle.d) / variances[:, :, None])
 
 
 def consensus_covariance(bundle):
@@ -157,33 +158,13 @@ def consensus_covariance(bundle):
         return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
     _require_positive_variances(bundle)
-    weights = spd_inverse(covs)
-    total = weights.sum(axis=0)
-    weighted = np.einsum("mij,jtm->it", weights, bundle.values)
-    try:
-        pooled = np.linalg.solve(total, weighted)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            "sum of machine precisions is singular"
-        ) from exc
-    return CombinedSamples(pooled)
-
-
-def bandwidth_schedule(step, d, bandw, anneal=True):
-    """Kernel bandwidths used at iteration ``step`` (1-based).
-
-    Annealing shrinks the starting bandwidths by ``step**(-1/(4+d))`` so
-    early iterations explore broadly and later ones tighten the mixture.
-    """
-    bandw = np.asarray(bandw, dtype=float)
-    if not anneal:
-        return bandw.copy()
-    return bandw * float(step) ** (-1.0 / (4.0 + d))
+    return _pool(bundle, spd_inverse(covs))
 
 
 def _bandwidth_scales(T, d, anneal):
-    """``s_t = (h_t / bandw)**2`` for the bandwidths ``h_t`` that
-    :func:`bandwidth_schedule` gives at steps t = 1..T."""
+    """``s_t = (h_t / bandw)**2`` at steps t = 1..T: annealing shrinks the
+    starting bandwidths to ``h_t = bandw * t**(-1/(4+d))``, so early steps
+    explore broadly and later ones tighten the mixture."""
     if not anneal:
         return np.ones(T)
     return np.arange(1, T + 1, dtype=float) ** (-2.0 / (4.0 + d))

@@ -30,9 +30,11 @@ def silverman_bandwidth(samples, d=1):
     T = samples.size
     if T < 2:
         raise DegenerateChain("bandwidth selection needs at least 2 samples")
-    sd = samples.std(ddof=1)
-    if sd == 0.0:
+    # Tested on the values: the rounded mean of identical values can differ
+    # from them, and then their computed sd is not zero.
+    if (samples == samples.flat[0]).all():
         raise DegenerateChain("samples have zero standard deviation")
+    sd = samples.std(ddof=1)
     return (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * T ** (-1.0 / (d + 4.0)) * sd
 
 

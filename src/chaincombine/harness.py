@@ -190,9 +190,11 @@ def _proposal_cholesky(log_density, center):
     """Cholesky factor of the local inverse-curvature at ``center``.
 
     Falls back to the identity scaled by |center| when the curvature is
-    not usable (flat directions, numerical noise).
+    not usable (flat directions, numerical noise, a stencil point where
+    the log density is -inf).
     """
-    hess = _finite_difference_hessian(log_density, center)
+    with np.errstate(invalid="ignore"):
+        hess = _finite_difference_hessian(log_density, center)
     try:
         eigval, eigvec = np.linalg.eigh(-0.5 * (hess + hess.T))
     except np.linalg.LinAlgError:
@@ -202,15 +204,16 @@ def _proposal_cholesky(log_density, center):
     return np.diag(np.maximum(np.abs(center), 1.0))
 
 
-def adaptive_random_walk(log_density, start, config, support=None):
+def adaptive_random_walk(log_density, start, config):
     """Random-walk Metropolis with burn-in-only scale adaptation.
 
     The proposal is ``scale * L z`` with ``L`` the local curvature
     factor at the start point.  During burn-in the global ``scale``
     follows a Robbins-Monro recursion toward the target acceptance rate
     and is frozen afterwards.
-    Proposals outside ``support`` are rejected without evaluating the
-    density.
+    ``log_density`` is ``-inf`` where the target has no mass; such a
+    proposal is rejected without drawing a uniform.  A start whose log
+    density is not finite raises :class:`DegenerateChain`.
 
     Returns ``(draws, acceptance_rate)`` with ``draws`` of shape (d, T)
     and the rate measured over all post-burn-in steps.  A rate outside
@@ -220,10 +223,13 @@ def adaptive_random_walk(log_density, start, config, support=None):
     d = start.size
     target = TARGET_ACCEPT_SCALAR if d == 1 else TARGET_ACCEPT_MULTIVARIATE
     rng = np.random.default_rng(config.seed)
-    chol = _proposal_cholesky(log_density, start)
-
     x = start.copy()
     log_p = log_density(x)
+    if not math.isfinite(log_p):
+        raise DegenerateChain(f"log density at the start {start} is {log_p}; "
+                              "the start has no posterior mass")
+    chol = _proposal_cholesky(log_density, start)
+
     scale = 2.38 / np.sqrt(d)
     draws = np.empty((d, config.iterations))
     total_steps = config.burnin + config.iterations * config.thin
@@ -231,10 +237,10 @@ def adaptive_random_walk(log_density, start, config, support=None):
     for k in range(total_steps):
         step = scale * (chol @ rng.standard_normal(d))
         proposal = x + step
-        if support is not None and not support(proposal):
+        log_p_prop = log_density(proposal)
+        if log_p_prop == -math.inf:
             accept_prob = 0.0
         else:
-            log_p_prop = log_density(proposal)
             accept_prob = min(1.0, np.exp(min(0.0, log_p_prop - log_p)))
             if rng.uniform() < accept_prob:
                 x = proposal
@@ -314,13 +320,16 @@ def sample_logistic_posterior(x, y, config):
 
 
 def _gamma_log_posterior(y):
-    """Log posterior on (mean, sd) for Gamma data with uniform priors."""
+    """Log posterior on (mean, sd) for Gamma data under Uniform(GAMMA_PRIOR_LO,
+    GAMMA_PRIOR_HI) priors on each: ``-inf`` outside that open box."""
     n = y.size
     sum_y = y.sum()
     sum_log_y = np.log(y).sum()
 
     def log_density(params):
         mean, sd = params
+        if not (GAMMA_PRIOR_LO < mean < GAMMA_PRIOR_HI and GAMMA_PRIOR_LO < sd < GAMMA_PRIOR_HI):
+            return -math.inf
         var = sd * sd
         alpha = mean * mean / var
         beta = mean / var
@@ -333,17 +342,14 @@ def _gamma_log_posterior(y):
     return log_density
 
 
-def _gamma_support(params):
-    return bool(np.all(params > GAMMA_PRIOR_LO) and np.all(params < GAMMA_PRIOR_HI))
-
-
 def sample_gamma_posterior(y, config):
     """Posterior draws of (alpha, beta) for Gamma data on one shard.
 
     The chain walks the (mean, sd) parameterization under
     Uniform(0.0001, 10000) priors on each coordinate; proposals outside
-    the prior box are rejected outright.  Draws are reported as shape
-    and rate: alpha = mean^2/sd^2, beta = mean/sd^2.
+    the prior box have log density ``-inf`` and are rejected, and a data
+    mean or sd outside it raises :class:`DegenerateChain`.  Draws are
+    reported as shape and rate: alpha = mean^2/sd^2, beta = mean/sd^2.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -354,7 +360,7 @@ def sample_gamma_posterior(y, config):
     start = np.array([y.mean(), y.std(ddof=1)])
     if start[1] == 0.0:
         raise DegenerateChain("data has zero variance; Gamma fit is degenerate")
-    draws, _ = adaptive_random_walk(log_density, start, config, support=_gamma_support)
+    draws, _ = adaptive_random_walk(log_density, start, config)
     mean, sd = draws[0], draws[1]
     var = sd * sd
     return np.vstack([mean * mean / var, mean / var])

@@ -30,7 +30,7 @@ from chaincombine import (
     validate_bundle,
 )
 from chaincombine.cli import main
-from chaincombine.combiners import bandwidth_schedule
+from chaincombine.combiners import _bandwidth_scales
 
 from conftest import criterion_report
 
@@ -220,12 +220,13 @@ def test_criterion_6_silverman_formula():
 
 def test_criterion_7_annealing_schedule(tmp_path):
     with criterion_report("7 annealing-schedule"):
-        assert bandwidth_schedule(1, 1, [1.0], anneal=True)[0] == 1.0
-        assert bandwidth_schedule(32, 1, [1.0], anneal=True)[0] == pytest.approx(
-            0.5, abs=1e-12
-        )
+        # h_t = bandw * sqrt(s_t) with bandw = 1.
+        annealed = np.sqrt(_bandwidth_scales(32, 1, anneal=True))
+        assert annealed[0] == 1.0
+        assert annealed[31] == pytest.approx(0.5, abs=1e-12)
+        fixed = np.sqrt(_bandwidth_scales(10000, 1, anneal=False))
         for step in (1, 32, 10000):
-            assert bandwidth_schedule(step, 1, [1.0], anneal=False)[0] == 1.0
+            assert fixed[step - 1] == 1.0
 
         # The CLI --no-anneal path reproduces the fixed-bandwidth variant.
         from chaincombine.io import read_matrix, write_bundle

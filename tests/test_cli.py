@@ -209,6 +209,23 @@ class TestMetricCommand:
         assert out == ""
         assert "error: NonFiniteValue" in err and f"{which}.csv" in err
 
+    @pytest.mark.parametrize("value", [0.3, 2.1, 0.7])
+    def test_constant_marginal_is_validation_error(self, tmp_path, capsys, value):
+        # The rounded mean of 500 copies of 0.3 or 2.1 is not the value, so a
+        # test on the computed sd let them through with exit 0; 0.7 failed
+        # only after parameter 1 was printed.  No partial CSV either way.
+        full = tmp_path / "full.csv"
+        combined = tmp_path / "combined.csv"
+        rng = np.random.default_rng(6)
+        np.savetxt(full, rng.standard_normal((500, 2)), delimiter=",")
+        draws = np.column_stack([rng.standard_normal(500), np.full(500, value)])
+        np.savetxt(combined, draws, delimiter=",")
+        code = main(["metric", "--full", str(full), "--combined", str(combined)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: DegenerateChain" in err
+
 
 class TestHarnessCommand:
     def test_gamma_run_writes_all_outputs(self, tmp_path):
@@ -243,6 +260,15 @@ class TestHarnessCommand:
         # would wander off to draws of order 1e15.
         code = main(["harness", "--model", "logistic", "--n", "20", "--shards", "5",
                      "--iters", "50", "--burnin", "10", "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert "error: DegenerateChain" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "bundle.json").exists()
+
+    def test_start_outside_prior_is_validation_error(self, tmp_path, capsys):
+        # Rate 40000 gives a data sd of about 5e-5, below the Uniform(1e-4, 1e4)
+        # prior on sd: the chains would start, and stay, where the prior is zero.
+        code = main(["harness", "--model", "gamma", "--n", "2000", "--beta", "40000",
+                     "--iters", "200", "--burnin", "50", "--out-dir", str(tmp_path / "run")])
         assert code == 2
         assert "error: DegenerateChain" in capsys.readouterr().err
         assert not (tmp_path / "run" / "bundle.json").exists()

@@ -72,9 +72,14 @@ class TestSilvermanBandwidth:
         sd = samples.std(ddof=1)
         assert bw == pytest.approx((4.0 / 3.0) ** 0.2 * 100000.0**-0.2 * sd, rel=1e-15)
 
-    def test_zero_spread_rejected(self):
-        with pytest.raises(DegenerateChain):
-            silverman_bandwidth(np.full(100, 3.0))
+    # The rounded mean of identical values can miss them, which leaves a
+    # computed sd of order 1e-16: for 500 copies of 0.3 or 2.1, and for 100
+    # copies of 0.7.
+    @pytest.mark.parametrize("value", [3.0, 0.3, 2.1, 0.7])
+    def test_zero_spread_rejected(self, value):
+        for size in (100, 500):
+            with pytest.raises(DegenerateChain):
+                silverman_bandwidth(np.full(size, value))
 
     def test_scale_homogeneity(self):
         rng = np.random.default_rng(0)

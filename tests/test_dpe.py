@@ -10,7 +10,6 @@ from chaincombine import (
     DegenerateChain,
     DpeConfig,
     NonPositiveBandwidth,
-    bandwidth_schedule,
     semiparametric_dpe,
     validate_bundle,
 )
@@ -39,26 +38,31 @@ def gaussian_bundle(rng, d, T, M, scale=0.01):
     return bundle, mean_star, cov_star
 
 
+def scheduled_bandwidths(step, d, bandw, anneal=True):
+    """The sampler's bandwidths h = bandw * sqrt(s) at 1-based ``step``."""
+    return np.asarray(bandw, dtype=float) * np.sqrt(_bandwidth_scales(step, d, anneal)[-1])
+
+
 class TestBandwidthSchedule:
     def test_annealed_values_d1(self):
-        assert bandwidth_schedule(1, 1, [1.0])[0] == 1.0
-        np.testing.assert_allclose(bandwidth_schedule(32, 1, [1.0])[0], 0.5, atol=1e-12)
+        assert scheduled_bandwidths(1, 1, [1.0])[0] == 1.0
+        np.testing.assert_allclose(scheduled_bandwidths(32, 1, [1.0])[0], 0.5, atol=1e-12)
 
     def test_no_anneal_is_constant(self):
         for step in (1, 7, 5000):
             np.testing.assert_array_equal(
-                bandwidth_schedule(step, 3, [0.7, 1.0, 2.0], anneal=False),
+                scheduled_bandwidths(step, 3, [0.7, 1.0, 2.0], anneal=False),
                 [0.7, 1.0, 2.0],
             )
 
     def test_exponent_uses_dimension(self):
         # d = 3 gives t^(-1/7).
         np.testing.assert_allclose(
-            bandwidth_schedule(128, 3, [1.0])[0], 128.0 ** (-1.0 / 7.0), rtol=1e-15
+            scheduled_bandwidths(128, 3, [1.0])[0], 128.0 ** (-1.0 / 7.0), rtol=1e-15
         )
 
     def test_starting_vector_scales_componentwise(self):
-        out = bandwidth_schedule(32, 1, [1.0, 2.0], anneal=True)
+        out = scheduled_bandwidths(32, 1, [1.0, 2.0], anneal=True)
         np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-12)
 
 
@@ -202,7 +206,7 @@ class TestEigenbasisAgainstDense:
         basis = _DpeBasis(bundle, bandw)
         log_weight, component = dense_reference(bundle)
         for step in (1, 7, 60, 5000):
-            h = bandwidth_schedule(step, d, bandw, anneal=anneal)
+            h = bandw * step ** (-1.0 / (4.0 + d)) if anneal else bandw
             s = _bandwidth_scales(step, d, anneal)[-1:]
             np.testing.assert_allclose(s * bandw**2, h**2, rtol=1e-14)
             k, c = basis.weight_terms(s[0])

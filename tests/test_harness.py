@@ -26,7 +26,6 @@ from chaincombine import (
 from chaincombine.harness import (
     _expit,
     _gamma_log_posterior,
-    _gamma_support,
     _logistic_log_likelihood,
     _logistic_mode,
 )
@@ -263,10 +262,20 @@ class TestGammaPosterior:
         assert abs(mean[1] - 2.0) < 3.0 * sd[1]
 
     def test_prior_box_boundary_rejected(self):
-        assert not _gamma_support(np.array([1e-4, 1.0]))
-        assert not _gamma_support(np.array([0.0, 1.0]))
-        assert not _gamma_support(np.array([1.0, 1e4]))
-        assert _gamma_support(np.array([2.0, 1.0]))
+        log_density = _gamma_log_posterior(simulate_gamma_data(100, 4.0, 2.0, seed=30).y)
+        # The Uniform(1e-4, 1e4) priors are open: each edge has no mass.
+        for edge in ([1e-4, 1.0], [1e4, 1.0], [2.0, 1e-4], [2.0, 1e4]):
+            assert log_density(np.array(edge)) == -np.inf
+        assert np.isfinite(log_density(np.array([2.0, 1.0])))
+
+    def test_stencil_outside_prior_falls_back_to_diagonal(self):
+        # The Hessian stencil around this start reaches below mean = 1e-4.
+        log_density = _gamma_log_posterior(simulate_gamma_data(100, 4.0, 2.0, seed=31).y)
+        start = np.array([1.5e-4, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chol = harness._proposal_cholesky(log_density, start)
+        np.testing.assert_array_equal(chol, np.eye(2))
 
     def test_shape_rate_algebra_against_internal_state(self):
         problem = simulate_gamma_data(5000, 4.0, 2.0, seed=17)
@@ -275,7 +284,7 @@ class TestGammaPosterior:
         # The same (mean, sd) chain, run directly from the same start and seed.
         start = np.array([problem.y.mean(), problem.y.std(ddof=1)])
         (lam, delta), _ = adaptive_random_walk(
-            _gamma_log_posterior(problem.y), start, config, support=_gamma_support
+            _gamma_log_posterior(problem.y), start, config
         )
         np.testing.assert_allclose(alpha / beta, lam, rtol=1e-12)
         np.testing.assert_allclose(alpha / beta**2, delta**2, rtol=1e-12)
@@ -363,14 +372,55 @@ class TestAdaptiveRandomWalk:
 
     def test_poor_mixing_warns(self):
         def log_target(x):
-            return 0.0
-
-        def support(x):
-            return bool(abs(x[0] - 1.0) < 1e-3)
+            return 0.0 if abs(x[0] - 1.0) < 1e-3 else -np.inf
 
         config = MhConfig(iterations=500, burnin=0, seed=27)
         with pytest.warns(NonConvergenceWarning):
-            adaptive_random_walk(log_target, np.ones(1), config, support=support)
+            adaptive_random_walk(log_target, np.ones(1), config)
+
+    def test_uniform_drawn_only_for_finite_proposals(self, monkeypatch):
+        # A proposal with log density -inf is rejected without a uniform
+        # draw, so it leaves the chain's random stream where it was.
+        make_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+                self.uniforms = 0
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)
+
+            def uniform(self):
+                self.uniforms += 1
+                return self.rng.uniform()
+
+        rngs = []
+
+        def counting_rng(seed):
+            rngs.append(CountingRng(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        values = []
+
+        def log_target(x):
+            values.append(-0.5 * float(x @ x) if x[0] < 0.5 else -np.inf)
+            return values[-1]
+
+        config = MhConfig(iterations=300, burnin=100, seed=28)
+        adaptive_random_walk(log_target, np.zeros(2), config)
+        proposals = np.array(values[-(config.burnin + config.iterations):])
+        finite = np.isfinite(proposals).sum()
+        assert 0 < finite < proposals.size
+        assert rngs[0].uniforms == finite
+
+    def test_start_without_mass_rejected(self):
+        def log_target(x):
+            return -np.inf if x[0] < 0.0 else 0.0
+
+        with pytest.raises(DegenerateChain, match="no posterior mass"):
+            adaptive_random_walk(log_target, -np.ones(1), MhConfig(iterations=10, burnin=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
