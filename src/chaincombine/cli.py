@@ -39,7 +39,7 @@ from .harness import (
     simulate_gamma_data,
     simulate_logistic_data,
 )
-from .io import FLOAT_FORMAT, read_bundle, read_samples, write_bundle, write_samples
+from .io import read_bundle, read_samples, write_bundle, write_matrix, write_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,8 +191,7 @@ def _write_density_pair(stem, index, full_samples, combined_samples):
     """One CSV of (grid, p_full, p_combined) triples per parameter."""
     stem = Path(stem)
     path = stem.with_name(f"{stem.stem}.p{index + 1}{stem.suffix or '.csv'}")
-    table = np.column_stack(density_pair(full_samples, combined_samples))
-    np.savetxt(path, table, fmt=FLOAT_FORMAT, delimiter=",")
+    write_matrix(path, np.column_stack(density_pair(full_samples, combined_samples)))
 
 
 def run_harness(args):
@@ -215,7 +214,7 @@ def run_harness(args):
                  thin=args.thin)
         for m in range(args.shards + 1)
     ]
-    *chains, full_chain = run_chains(args.model, [*shards, rows], configs)
+    (*chains, full_chain), rates = run_chains(args.model, [*shards, rows], configs)
     bundle = validate_bundle(np.stack(chains, axis=2))
     manifest_path = out_dir / "bundle.json"
     write_bundle(bundle, manifest_path, seed=args.seed)
@@ -233,6 +232,7 @@ def run_harness(args):
         "seed": args.seed,
         "bundle_manifest": manifest_path.name,
         "full_chain": full_path.name,
+        "acceptance_rates": rates,
         **extra,
     }
     with open(out_dir / "run.json", "w") as handle:

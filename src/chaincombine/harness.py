@@ -212,8 +212,9 @@ def adaptive_random_walk(log_density, start, config):
     follows a Robbins-Monro recursion toward the target acceptance rate
     and is frozen afterwards.
     ``log_density`` is ``-inf`` where the target has no mass; such a
-    proposal is rejected without drawing a uniform.  A start whose log
-    density is not finite raises :class:`DegenerateChain`.
+    proposal, or one whose log density is NaN, is rejected without
+    drawing a uniform.  A start whose log density is not finite raises
+    :class:`DegenerateChain`.
 
     Returns ``(draws, acceptance_rate)`` with ``draws`` of shape (d, T)
     and the rate measured over all post-burn-in steps.  A rate outside
@@ -230,28 +231,34 @@ def adaptive_random_walk(log_density, start, config):
                               "the start has no posterior mass")
     chol = _proposal_cholesky(log_density, start)
 
-    scale = 2.38 / np.sqrt(d)
-    draws = np.empty((d, config.iterations))
-    total_steps = config.burnin + config.iterations * config.thin
+    # Python floats where the loop allows: numpy scalar arithmetic is slower.
+    scale = 2.38 / math.sqrt(d)
+    burnin, thin = config.burnin, config.thin
+    kept = []
     accept_sum = 0.0
-    for k in range(total_steps):
-        step = scale * (chol @ rng.standard_normal(d))
-        proposal = x + step
+    for k in range(burnin + config.iterations * thin):
+        proposal = x + scale * chol.dot(rng.standard_normal(d))
         log_p_prop = log_density(proposal)
-        if log_p_prop == -math.inf:
-            accept_prob = 0.0
-        else:
-            accept_prob = min(1.0, np.exp(min(0.0, log_p_prop - log_p)))
-            if rng.uniform() < accept_prob:
+        # False for -inf and for NaN alike: neither proposal has mass.
+        if log_p_prop > -math.inf:
+            delta = log_p_prop - log_p
+            # np.exp(0) is exactly 1; math.exp can differ from np.exp in the
+            # last bit, which would change the chain.
+            accept_prob = float(np.exp(delta)) if delta < 0.0 else 1.0
+            if rng.random() < accept_prob:
                 x = proposal
                 log_p = log_p_prop
-        if k < config.burnin:
-            scale *= np.exp((k + 1.0) ** -0.6 * (accept_prob - target))
         else:
-            kept = k - config.burnin
-            if kept % config.thin == config.thin - 1:
-                draws[:, kept // config.thin] = x
+            accept_prob = 0.0
+        if k < burnin:
+            scale *= float(np.exp((k + 1.0) ** -0.6 * (accept_prob - target)))
+        else:
             accept_sum += accept_prob
+            if (k - burnin) % thin == thin - 1:
+                kept.append(x)
+    # C order: numpy sums a C-order row pairwise but a transposed one
+    # sequentially, so the layout decides the last bits of a draw mean.
+    draws = np.ascontiguousarray(np.array(kept).T)
     rate = accept_sum / (config.iterations * config.thin)
     if not ACCEPTANCE_HEALTHY[0] <= rate <= ACCEPTANCE_HEALTHY[1]:
         warnings.warn(
@@ -269,15 +276,21 @@ def _logistic_log_likelihood(x, y):
     The logits are taken against a C-contiguous copy of x transposed, so
     the value does not depend on the layout of ``x``, and log(1 + e^z)
     is summed as the stable softplus max(z, 0) + log1p(e^-|z|), which
-    is several times faster than ``np.logaddexp(0, z)``.
+    is several times faster than ``np.logaddexp(0, z)``; it is formed in
+    place in the logits and one temporary.
     """
     xt = np.ascontiguousarray(x.T)
     yx = xt @ y  # sufficient statistic for the linear term
 
     def log_density(beta):
         logits = beta @ xt
-        softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
-        return yx @ beta - softplus.sum()
+        tail = np.abs(logits)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        softplus = np.maximum(logits, 0.0, out=logits)
+        softplus += tail
+        return float(yx @ beta - softplus.sum())
 
     return log_density
 
@@ -309,32 +322,38 @@ def sample_logistic_posterior(x, y, config):
     Flat priors make the log posterior equal the log likelihood up to a
     constant.  Returns a (d, T) matrix of retained draws.
     """
+    return _logistic_chain(x, y, config)[0]
+
+
+def _logistic_chain(x, y, config):
+    """:func:`sample_logistic_posterior` with the chain's acceptance rate."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.size or x.shape[0] == 0:
         raise ValueError("x and y must be nonempty with matching row counts")
     log_density = _logistic_log_likelihood(x, y)
     start = _logistic_mode(x, y)
-    draws, _ = adaptive_random_walk(log_density, start, config)
-    return draws
+    return adaptive_random_walk(log_density, start, config)
 
 
 def _gamma_log_posterior(y):
     """Log posterior on (mean, sd) for Gamma data under Uniform(GAMMA_PRIOR_LO,
     GAMMA_PRIOR_HI) priors on each: ``-inf`` outside that open box."""
     n = y.size
-    sum_y = y.sum()
-    sum_log_y = np.log(y).sum()
+    sum_y = float(y.sum())
+    sum_log_y = float(np.log(y).sum())
 
     def log_density(params):
-        mean, sd = params
+        # Python floats: numpy scalar arithmetic costs several times more.
+        mean, sd = params.tolist()
         if not (GAMMA_PRIOR_LO < mean < GAMMA_PRIOR_HI and GAMMA_PRIOR_LO < sd < GAMMA_PRIOR_HI):
             return -math.inf
         var = sd * sd
         alpha = mean * mean / var
         beta = mean / var
+        # np.log, not math.log: the two can differ in the last bit.
         return (
-            n * (alpha * np.log(beta) - math.lgamma(alpha))
+            n * (alpha * float(np.log(beta)) - math.lgamma(alpha))
             + (alpha - 1.0) * sum_log_y
             - beta * sum_y
         )
@@ -351,6 +370,11 @@ def sample_gamma_posterior(y, config):
     mean or sd outside it raises :class:`DegenerateChain`.  Draws are
     reported as shape and rate: alpha = mean^2/sd^2, beta = mean/sd^2.
     """
+    return _gamma_chain(y, config)[0]
+
+
+def _gamma_chain(y, config):
+    """:func:`sample_gamma_posterior` with the chain's acceptance rate."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise NonPositiveData("shard is empty")
@@ -360,26 +384,24 @@ def sample_gamma_posterior(y, config):
     start = np.array([y.mean(), y.std(ddof=1)])
     if start[1] == 0.0:
         raise DegenerateChain("data has zero variance; Gamma fit is degenerate")
-    draws, _ = adaptive_random_walk(log_density, start, config)
-    mean, sd = draws[0], draws[1]
+    (mean, sd), rate = adaptive_random_walk(log_density, start, config)
     var = sd * sd
-    return np.vstack([mean * mean / var, mean / var])
+    return np.vstack([mean * mean / var, mean / var]), rate
 
 
 def _sample_rows(model, rows, config):
     """One chain on one block of data rows, in a worker process.
 
-    Returns the draws with the warnings the chain raised, so that the
-    parent can re-issue them.
+    Returns the draws and the post-burn-in acceptance rate with the
+    warnings the chain raised, so that the parent can re-issue them.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if model == "logistic":
-            x, y = split_logistic_rows(rows)
-            draws = sample_logistic_posterior(x, y, config)
+            draws, rate = _logistic_chain(*split_logistic_rows(rows), config)
         else:
-            draws = sample_gamma_posterior(rows[:, 0], config)
-    return draws, [w.message for w in caught]
+            draws, rate = _gamma_chain(rows[:, 0], config)
+    return draws, rate, [w.message for w in caught]
 
 
 def _usable_cores():
@@ -400,7 +422,8 @@ def run_chains(model, blocks, configs):
     config, so the draws equal a one-chain-at-a-time loop bit for bit,
     whatever the core count.  An error raised in a worker reaches the
     caller with its own type, and the chains' warnings are re-issued
-    here in chain order.  Returns the (d, T) draws in input order.
+    here in chain order.  Returns ``(chains, rates)``: the (d, T) draws
+    and the post-burn-in acceptance rates, in input order.
     """
     if model not in ("logistic", "gamma"):
         raise ValueError(f"unknown model {model!r}")
@@ -416,9 +439,10 @@ def run_chains(model, blocks, configs):
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         futures = {k: pool.submit(_sample_rows, model, blocks[k], configs[k]) for k in order}
         results = [futures[k].result() for k in range(len(blocks))]
-    chains = []
-    for draws, caught in results:
+    chains, rates = [], []
+    for draws, rate, caught in results:
         for message in caught:
             warnings.warn(message, stacklevel=2)
         chains.append(draws)
-    return chains
+        rates.append(rate)
+    return chains, rates

@@ -137,7 +137,7 @@ def logistic_distances(n, M, T, burnin, seed):
         MhConfig(iterations=T, burnin=burnin, seed=seed + 2 + m, thin=THIN)
         for m in range(M + 1)
     ]
-    *chains, full = run_chains("logistic", [*shards, rows], configs)
+    (*chains, full), _ = run_chains("logistic", [*shards, rows], configs)
     bundle = shuffle_within_machines(validate_bundle(np.stack(chains, axis=2)), seed)
     combined = combine_all(bundle, seed)
     return {
@@ -173,7 +173,7 @@ def test_criterion_4_gamma_desk_scale():
             MhConfig(iterations=10000, burnin=1000, seed=seed + 2 + m, thin=THIN)
             for m in range(6)
         ]
-        *chains, full = run_chains("gamma", [*shards, rows], configs)
+        (*chains, full), _ = run_chains("gamma", [*shards, rows], configs)
         bundle = shuffle_within_machines(validate_bundle(np.stack(chains, axis=2)), seed)
         combined = combine_all(bundle, seed)
         for name, result in combined.items():

@@ -254,6 +254,18 @@ class TestHarnessCommand:
         record = json.loads((out_dir / "run.json").read_text())
         assert record["beta_true"] == [0.47, -1.70, 0.54, -0.90, 0.86]
 
+    @pytest.mark.parametrize("model", ["gamma", "logistic"])
+    def test_run_record_keeps_acceptance_rates(self, tmp_path, model):
+        # One post-burn-in rate per shard chain, then the full-data chain's.
+        out_dir = tmp_path / "run"
+        code = main(["harness", "--model", model, "--n", "1500", "--shards", "3",
+                     "--iters", "300", "--burnin", "100", "--seed", "7",
+                     "--out-dir", str(out_dir)])
+        assert code == 0
+        rates = json.loads((out_dir / "run.json").read_text())["acceptance_rates"]
+        assert len(rates) == 3 + 1
+        assert all(0.0 <= rate <= 1.0 for rate in rates)
+
     def test_separable_shard_is_validation_error(self, tmp_path, capsys):
         # Four rows and five covariates: each shard's outcomes are
         # separable, so its flat-prior posterior is improper and the chain

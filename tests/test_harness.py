@@ -1,5 +1,12 @@
-"""Data simulators, shard samplers, partitioning and the product oracle."""
+"""Data simulators, shard samplers, partitioning and the product oracle.
 
+``reference_random_walk`` and the two reference densities below are the
+Metropolis loop and log densities in plain numpy-scalar form, one
+``uniform()`` per finite proposal.  ``TestBitwiseAgainstReference`` holds
+the sampler to them bit for bit: same draws, same acceptance rate.
+"""
+
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +38,131 @@ from chaincombine.harness import (
 )
 
 BETA_REFERENCE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
+
+
+def reference_random_walk(log_density, start, config):
+    """The Metropolis loop of ``adaptive_random_walk``, one column per kept draw."""
+    start = np.asarray(start, dtype=float)
+    d = start.size
+    target = harness.TARGET_ACCEPT_SCALAR if d == 1 else harness.TARGET_ACCEPT_MULTIVARIATE
+    rng = np.random.default_rng(config.seed)
+    x = start.copy()
+    log_p = log_density(x)
+    chol = harness._proposal_cholesky(log_density, start)
+    scale = 2.38 / np.sqrt(d)
+    draws = np.empty((d, config.iterations))
+    total_steps = config.burnin + config.iterations * config.thin
+    accept_sum = 0.0
+    for k in range(total_steps):
+        step = scale * (chol @ rng.standard_normal(d))
+        proposal = x + step
+        log_p_prop = log_density(proposal)
+        if log_p_prop == -math.inf:
+            accept_prob = 0.0
+        else:
+            accept_prob = min(1.0, np.exp(min(0.0, log_p_prop - log_p)))
+            if rng.uniform() < accept_prob:
+                x = proposal
+                log_p = log_p_prop
+        if k < config.burnin:
+            scale *= np.exp((k + 1.0) ** -0.6 * (accept_prob - target))
+        else:
+            kept = k - config.burnin
+            if kept % config.thin == config.thin - 1:
+                draws[:, kept // config.thin] = x
+            accept_sum += accept_prob
+    return draws, accept_sum / (config.iterations * config.thin)
+
+
+def reference_logistic_log_likelihood(x, y):
+    xt = np.ascontiguousarray(x.T)
+    yx = xt @ y
+
+    def log_density(beta):
+        logits = beta @ xt
+        softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
+        return yx @ beta - softplus.sum()
+
+    return log_density
+
+
+def reference_gamma_log_posterior(y):
+    n = y.size
+    sum_y = y.sum()
+    sum_log_y = np.log(y).sum()
+
+    def log_density(params):
+        mean, sd = params
+        if not (harness.GAMMA_PRIOR_LO < mean < harness.GAMMA_PRIOR_HI
+                and harness.GAMMA_PRIOR_LO < sd < harness.GAMMA_PRIOR_HI):
+            return -math.inf
+        var = sd * sd
+        alpha = mean * mean / var
+        beta = mean / var
+        return (
+            n * (alpha * np.log(beta) - math.lgamma(alpha))
+            + (alpha - 1.0) * sum_log_y
+            - beta * sum_y
+        )
+
+    return log_density
+
+
+def _logistic_shard():
+    rows = simulate_logistic_data(4000, BETA_REFERENCE, seed=60).data_matrix()
+    x, y = split_logistic_rows(partition_rows(rows, 4, seed=61)[0])
+    return _logistic_log_likelihood(x, y), reference_logistic_log_likelihood(x, y), \
+        _logistic_mode(x, y)
+
+
+def _gamma_shard():
+    y = partition_rows(simulate_gamma_data(4000, 4.0, 2.0, seed=62).y, 4, seed=63)[0][:, 0]
+    return _gamma_log_posterior(y), reference_gamma_log_posterior(y), \
+        np.array([y.mean(), y.std(ddof=1)])
+
+
+def _half_plane():
+    # -inf for x_0 >= 0.5: about a third of the proposals draw no uniform.
+    def log_target(x):
+        return -0.5 * float(x @ x) if x[0] < 0.5 else -np.inf
+
+    return log_target, log_target, np.zeros(2)
+
+
+def _gaussian(d):
+    def log_target(x):
+        return -0.5 * float(x @ x)
+
+    return lambda: (log_target, log_target, np.full(d, 0.25))
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("problem, config", [
+        (_logistic_shard, MhConfig(iterations=600, burnin=200, seed=64)),
+        (_gamma_shard, MhConfig(iterations=600, burnin=200, seed=65)),
+        (_half_plane, MhConfig(iterations=600, burnin=200, seed=66)),
+        (_gamma_shard, MhConfig(iterations=300, burnin=200, seed=67, thin=3)),
+        (_gaussian(3), MhConfig(iterations=600, burnin=0, seed=68)),
+        (_gaussian(1), MhConfig(iterations=600, burnin=200, seed=69)),
+    ], ids=["logistic-shard", "gamma-shard", "inf-region", "thin-3", "burnin-0", "d-1"])
+    def test_draws_and_rate_equal_reference(self, problem, config):
+        log_density, reference_density, start = problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            draws, rate = adaptive_random_walk(log_density, start, config)
+            ref_draws, ref_rate = reference_random_walk(reference_density, start, config)
+        assert draws.shape == ref_draws.shape == (start.size, config.iterations)
+        assert draws.flags.c_contiguous
+        np.testing.assert_array_equal(draws, ref_draws)
+        assert rate == ref_rate
+
+    @pytest.mark.parametrize("problem, points", [(_logistic_shard, 300), (_gamma_shard, 5000)],
+                             ids=["logistic-shard", "gamma-shard"])
+    def test_log_density_equals_reference(self, problem, points):
+        log_density, reference_density, mode = problem()
+        rng = np.random.default_rng(70)
+        for params in mode * np.exp(0.3 * rng.standard_normal((points, mode.size))):
+            assert log_density(params) == reference_density(params)
 
 
 class TestSimulateLogistic:
@@ -185,18 +317,20 @@ class TestRunChains:
         rows = simulate_logistic_data(3000, BETA_REFERENCE, seed=42).data_matrix()
         blocks = [*partition_rows(rows, 3, seed=43), rows]
         configs = self.configs(len(blocks), thin=2)
-        chains = run_chains("logistic", blocks, configs)
-        for block, config, chain in zip(blocks, configs, chains):
+        chains, rates = run_chains("logistic", blocks, configs)
+        for block, config, chain, rate in zip(blocks, configs, chains, rates):
             x, y = split_logistic_rows(block)
             np.testing.assert_array_equal(chain, sample_logistic_posterior(x, y, config))
+            assert rate == harness._logistic_chain(x, y, config)[1]
 
     def test_gamma_matches_serial_bitwise(self):
         rows = simulate_gamma_data(3000, 4.0, 2.0, seed=44).y[:, None]
         blocks = [*partition_rows(rows, 4, seed=45), rows]
         configs = self.configs(len(blocks))
-        chains = run_chains("gamma", blocks, configs)
-        for block, config, chain in zip(blocks, configs, chains):
+        chains, rates = run_chains("gamma", blocks, configs)
+        for block, config, chain, rate in zip(blocks, configs, chains, rates):
             np.testing.assert_array_equal(chain, sample_gamma_posterior(block[:, 0], config))
+            assert rate == harness._gamma_chain(block[:, 0], config)[1]
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([[1.0], [-2.0], [3.0]]), NonPositiveData),
@@ -391,9 +525,9 @@ class TestAdaptiveRandomWalk:
             def standard_normal(self, size):
                 return self.rng.standard_normal(size)
 
-            def uniform(self):
+            def random(self):
                 self.uniforms += 1
-                return self.rng.uniform()
+                return self.rng.random()
 
         rngs = []
 
@@ -414,6 +548,16 @@ class TestAdaptiveRandomWalk:
         finite = np.isfinite(proposals).sum()
         assert 0 < finite < proposals.size
         assert rngs[0].uniforms == finite
+
+    def test_nan_proposal_rejected(self):
+        # min(0, nan) is 0, so a NaN log density once passed for an
+        # acceptance probability of 1 and the chain ran off into the region.
+        def log_target(x):
+            return np.nan if x[0] >= 1.0 else -0.5 * float(x @ x)
+
+        config = MhConfig(iterations=2000, burnin=200, seed=1)
+        draws, _ = adaptive_random_walk(log_target, np.zeros(1), config)
+        assert draws.max() < 1.0
 
     def test_start_without_mass_rejected(self):
         def log_target(x):

@@ -1,12 +1,21 @@
 """Bundle manifests and matrix files."""
 
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chaincombine import DimensionMismatch, FileMissing, ParseError, validate_bundle
+from chaincombine import io as chaincombine_io
 from chaincombine.io import (
+    FLOAT_FORMAT,
     read_bundle,
     read_matrix,
     read_samples,
@@ -57,6 +66,31 @@ class TestMatrixFiles:
             path.write_text(text)
             with pytest.raises(ParseError, match=where):
                 read_matrix(path)
+
+
+edge_values = st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308]
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    matrix=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 5)),
+        elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True), edge_values),
+    ),
+    block_rows=st.integers(1, 5),
+)
+def test_write_matrix_bytes_equal_savetxt(matrix, block_rows):
+    # Small blocks put block boundaries inside the matrix.
+    expected = io.BytesIO()
+    np.savetxt(expected, matrix, fmt=FLOAT_FORMAT, delimiter=",")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.csv"
+        with mock.patch.object(chaincombine_io, "WRITE_BLOCK_ROWS", block_rows):
+            write_matrix(path, matrix)
+        assert path.read_bytes() == expected.getvalue()
 
 
 class TestBundleFiles:
