@@ -16,20 +16,12 @@ ALPHA, BETA = 4.0, 2.0
 N, M, T, BURNIN, THIN, SEED = 20000, 5, 4000, 500, 5, 0
 
 print(f"simulating n={N} draws from Gamma(alpha={ALPHA}, beta={BETA})")
-problem = cc.simulate_gamma_data(N, ALPHA, BETA, seed=SEED)
-shards = cc.partition_rows(problem.y, M, seed=SEED + 1)
+rows = cc.simulate_gamma_data(N, ALPHA, BETA, seed=SEED)
 
 print(f"sampling {M} shard chains + 1 full-data chain (T={T}, burnin={BURNIN}, thin={THIN})")
-chains = []
-for m, shard in enumerate(shards):
-    config = cc.MhConfig(iterations=T, burnin=BURNIN, seed=SEED + 2 + m, thin=THIN)
-    chains.append(cc.sample_gamma_posterior(shard[:, 0], config))
-full_config = cc.MhConfig(iterations=T, burnin=BURNIN, seed=SEED + 2 + M, thin=THIN)
-full = cc.sample_gamma_posterior(problem.y, full_config)
-
-bundle = cc.shuffle_within_machines(
-    cc.validate_bundle(np.stack(chains, axis=2)), seed=SEED
-)
+config = cc.MhConfig(iterations=T, burnin=BURNIN, seed=SEED, thin=THIN)
+bundle, full, _ = cc.run_chains("gamma", rows, M, config)
+bundle = cc.shuffle_within_machines(bundle, seed=SEED)
 
 combined = {
     "sample average": cc.sample_average(bundle),

@@ -17,19 +17,11 @@ BETA_TRUE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
 N, M, T, BURNIN, THIN, SEED = 10000, 5, 4000, 500, 5, 0
 
 print(f"simulating n={N} observations, sharding into M={M} subsets")
-problem = cc.simulate_logistic_data(N, BETA_TRUE, seed=SEED)
-shards = cc.partition_rows(problem.data_matrix(), M, seed=SEED + 1)
+rows = cc.simulate_logistic_data(N, BETA_TRUE, seed=SEED)
 
 print(f"sampling {M} shard chains + 1 full-data chain (T={T}, burnin={BURNIN}, thin={THIN})")
-chains = []
-for m, shard in enumerate(shards):
-    x, y = cc.split_logistic_rows(shard)
-    config = cc.MhConfig(iterations=T, burnin=BURNIN, seed=SEED + 2 + m, thin=THIN)
-    chains.append(cc.sample_logistic_posterior(x, y, config))
-full_config = cc.MhConfig(iterations=T, burnin=BURNIN, seed=SEED + 2 + M, thin=THIN)
-full = cc.sample_logistic_posterior(problem.x, problem.y, full_config)
-
-bundle = cc.validate_bundle(np.stack(chains, axis=2))
+config = cc.MhConfig(iterations=T, burnin=BURNIN, seed=SEED, thin=THIN)
+bundle, full, _ = cc.run_chains("logistic", rows, M, config)
 # Permuting draws within machines decorrelates same-index draws across
 # machines, which sharpens the combined sample.
 bundle = cc.shuffle_within_machines(bundle, seed=SEED)

@@ -32,18 +32,13 @@ from .density import (
     silverman_bandwidth,
 )
 from .harness import (
-    GammaProblem,
-    LogisticProblem,
     MhConfig,
     adaptive_random_walk,
     gaussian_product_oracle,
     partition_rows,
     run_chains,
-    sample_gamma_posterior,
-    sample_logistic_posterior,
     simulate_gamma_data,
     simulate_logistic_data,
-    split_logistic_rows,
 )
 from .errors import (
     ChainCombineError,
@@ -78,14 +73,9 @@ __all__ = [
     "kde_1d",
     "density_pair",
     "relative_l2_distance",
-    "LogisticProblem",
-    "GammaProblem",
     "MhConfig",
     "simulate_logistic_data",
-    "sample_logistic_posterior",
-    "split_logistic_rows",
     "simulate_gamma_data",
-    "sample_gamma_posterior",
     "partition_rows",
     "run_chains",
     "gaussian_product_oracle",

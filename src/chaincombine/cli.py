@@ -29,16 +29,10 @@ from .combiners import (
     sample_average,
     semiparametric_dpe,
 )
-from .core import CombinedSamples, _check_finite, shuffle_within_machines, validate_bundle
+from .core import CombinedSamples, _check_finite, shuffle_within_machines
 from .density import density_pair, relative_l2_distance
 from .errors import ChainCombineError, DimensionMismatch
-from .harness import (
-    MhConfig,
-    partition_rows,
-    run_chains,
-    simulate_gamma_data,
-    simulate_logistic_data,
-)
+from .harness import MhConfig, run_chains, simulate_gamma_data, simulate_logistic_data
 from .io import read_bundle, read_samples, write_bundle, write_matrix, write_samples
 
 EXIT_OK = 0
@@ -56,6 +50,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"error: UsageError: {message}\n")
+
+
+def _number(kind, low, strict=False):
+    """An argparse ``type=``: ``kind(text)``, rejected if it is below
+    ``low`` (or equal to it, when ``strict``) or NaN."""
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -77,7 +87,7 @@ def build_parser():
         action="store_true",
         help="randomly permute draws within each machine before combining",
     )
-    combine.add_argument("--seed", type=int, default=0)
+    combine.add_argument("--seed", type=_number(int, 0), default=0)
     combine.add_argument(
         "--bandw",
         default=None,
@@ -112,17 +122,25 @@ def build_parser():
         "harness", help="simulate data, shard it and sample every shard"
     )
     harness.add_argument("--model", required=True, choices=("logistic", "gamma"))
-    harness.add_argument("--n", type=int, default=20_000, help="observations to simulate")
-    harness.add_argument("--shards", type=int, default=5, help="number of data shards M")
-    harness.add_argument("--iters", type=int, default=10_000, help="retained draws T")
-    harness.add_argument("--burnin", type=int, default=1_000)
     harness.add_argument(
-        "--thin", type=int, default=1,
+        "--n", type=_number(int, 1), default=20_000, help="observations to simulate"
+    )
+    harness.add_argument("--shards", type=int, default=5, help="number of data shards M")
+    harness.add_argument("--iters", type=_number(int, 2), default=10_000, help="retained draws T")
+    harness.add_argument("--burnin", type=_number(int, 0), default=1_000)
+    harness.add_argument(
+        "--thin", type=_number(int, 1), default=1,
         help="Metropolis steps advanced per retained draw",
     )
-    harness.add_argument("--seed", type=int, default=0)
-    harness.add_argument("--alpha", type=float, default=4.0, help="Gamma shape (gamma model)")
-    harness.add_argument("--beta", type=float, default=2.0, help="Gamma rate (gamma model)")
+    harness.add_argument("--seed", type=_number(int, 0), default=0)
+    harness.add_argument(
+        "--alpha", type=_number(float, 0.0, strict=True), default=4.0,
+        help="Gamma shape (gamma model)",
+    )
+    harness.add_argument(
+        "--beta", type=_number(float, 0.0, strict=True), default=2.0,
+        help="Gamma rate (gamma model)",
+    )
     harness.add_argument("--out-dir", required=True)
     harness.set_defaults(func=run_harness)
 
@@ -196,26 +214,18 @@ def _write_density_pair(stem, index, full_samples, combined_samples):
 
 def run_harness(args):
     """Simulate, shard, sample shards and the full data, write everything."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.model == "logistic":
-        problem = simulate_logistic_data(args.n, LOGISTIC_BETA, seed=args.seed)
-        rows = problem.data_matrix()
-        extra = {"beta_true": list(problem.beta_true)}
+        rows = simulate_logistic_data(args.n, LOGISTIC_BETA, seed=args.seed)
+        truth = {"beta_true": list(LOGISTIC_BETA)}
     else:
-        problem = simulate_gamma_data(args.n, args.alpha, args.beta, seed=args.seed)
-        rows = problem.y[:, None]
-        extra = {"alpha_true": problem.alpha_true, "beta_true": problem.beta_true}
+        rows = simulate_gamma_data(args.n, args.alpha, args.beta, seed=args.seed)
+        truth = {"alpha_true": args.alpha, "beta_true": args.beta}
+    config = MhConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed,
+                      thin=args.thin)
+    bundle, full_chain, rates = run_chains(args.model, rows, args.shards, config)
 
-    shards = partition_rows(rows, args.shards, seed=args.seed + 1)
-    configs = [
-        MhConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed + 2 + m,
-                 thin=args.thin)
-        for m in range(args.shards + 1)
-    ]
-    (*chains, full_chain), rates = run_chains(args.model, [*shards, rows], configs)
-    bundle = validate_bundle(np.stack(chains, axis=2))
+    # write_bundle makes the output directory, so a failed run leaves none.
+    out_dir = Path(args.out_dir)
     manifest_path = out_dir / "bundle.json"
     write_bundle(bundle, manifest_path, seed=args.seed)
     full_path = out_dir / "full_chain.csv"
@@ -233,7 +243,7 @@ def run_harness(args):
         "bundle_manifest": manifest_path.name,
         "full_chain": full_path.name,
         "acceptance_rates": rates,
-        **extra,
+        **truth,
     }
     with open(out_dir / "run.json", "w") as handle:
         json.dump(run_record, handle, indent=2)

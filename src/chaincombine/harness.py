@@ -6,8 +6,10 @@ reparameterized in terms of its mean and standard deviation (which
 decorrelates the shape and rate) with wide uniform priors.  Both are
 sampled with an adaptive random-walk Metropolis chain whose proposal
 scale is tuned during burn-in only, so the retained draws come from a
-fixed kernel.  :func:`run_chains` samples the shards and the full data
-in parallel worker processes, since the chains never communicate.
+fixed kernel.  :func:`run_chains` shards the data and samples the
+shards and the full data in parallel worker processes, since the chains
+never communicate; it alone fixes the seeds of the shard cut and of
+every chain.
 
 The exact product-of-Gaussians moments live here too; they are the
 independent oracle the combiners are tested against.
@@ -18,10 +20,11 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import validate_bundle
 from .errors import (
     DegenerateChain,
     NonConvergenceWarning,
@@ -46,34 +49,6 @@ MODE_MAX_STEPS = 50
 
 # Central-difference step for the proposal Hessian, relative to max(|x|, 1).
 HESSIAN_REL_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class LogisticProblem:
-    """Simulated logistic-regression data with the generating coefficients."""
-
-    x: np.ndarray          # (n, d) covariates
-    y: np.ndarray          # (n,) outcomes in {0, 1}
-    beta_true: np.ndarray  # (d,)
-
-    def data_matrix(self):
-        """Rows of [y, x_1, ..., x_d], the shardable representation."""
-        return np.column_stack([self.y, self.x])
-
-
-def split_logistic_rows(rows):
-    """Inverse of :meth:`LogisticProblem.data_matrix` for one shard."""
-    rows = np.asarray(rows, dtype=float)
-    return rows[:, 1:], rows[:, 0]
-
-
-@dataclass(frozen=True)
-class GammaProblem:
-    """Simulated Gamma(alpha, beta) observations (shape/rate convention)."""
-
-    y: np.ndarray
-    alpha_true: float
-    beta_true: float
 
 
 @dataclass(frozen=True)
@@ -109,7 +84,11 @@ def _expit(z):
 
 
 def simulate_logistic_data(n, beta, seed):
-    """Draw covariates i.i.d. standard normal and Bernoulli outcomes."""
+    """Draw covariates i.i.d. standard normal and Bernoulli outcomes.
+
+    Returns the (n, 1 + d) rows ``[y, x_1, ..., x_d]`` that
+    :func:`run_chains` shards.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     beta = np.asarray(beta, dtype=float)
@@ -117,16 +96,16 @@ def simulate_logistic_data(n, beta, seed):
     x = rng.standard_normal((n, beta.size))
     p = _expit(x @ beta)
     y = (rng.uniform(size=n) < p).astype(float)
-    return LogisticProblem(x=x, y=y, beta_true=beta)
+    return np.column_stack([y, x])
 
 
 def simulate_gamma_data(n, alpha, beta, seed):
-    """Draw n observations from Gamma(alpha, beta) with rate beta."""
+    """Draw n observations from Gamma(alpha, beta) with rate beta, as
+    the (n, 1) rows ``[y]`` that :func:`run_chains` shards."""
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be positive")
     rng = np.random.default_rng(seed)
-    y = rng.gamma(shape=alpha, scale=1.0 / beta, size=n)
-    return GammaProblem(y=y, alpha_true=float(alpha), beta_true=float(beta))
+    return rng.gamma(shape=alpha, scale=1.0 / beta, size=(n, 1))
 
 
 def partition_rows(data, n_shards, seed):
@@ -316,21 +295,15 @@ def _logistic_mode(x, y):
                           "maximum (separable outcomes?); the posterior is improper")
 
 
-def sample_logistic_posterior(x, y, config):
-    """Posterior draws for logistic-regression coefficients on one shard.
+def _logistic_chain(rows, config):
+    """Posterior draws for logistic-regression coefficients on rows
+    ``[y, x_1, ..., x_d]``.
 
     Flat priors make the log posterior equal the log likelihood up to a
-    constant.  Returns a (d, T) matrix of retained draws.
+    constant.  Returns ``(draws, rate)``: the (d, T) retained draws and
+    the post-burn-in acceptance rate.
     """
-    return _logistic_chain(x, y, config)[0]
-
-
-def _logistic_chain(x, y, config):
-    """:func:`sample_logistic_posterior` with the chain's acceptance rate."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.size or x.shape[0] == 0:
-        raise ValueError("x and y must be nonempty with matching row counts")
+    x, y = rows[:, 1:], rows[:, 0]
     log_density = _logistic_log_likelihood(x, y)
     start = _logistic_mode(x, y)
     return adaptive_random_walk(log_density, start, config)
@@ -361,23 +334,18 @@ def _gamma_log_posterior(y):
     return log_density
 
 
-def sample_gamma_posterior(y, config):
-    """Posterior draws of (alpha, beta) for Gamma data on one shard.
+def _gamma_chain(rows, config):
+    """Posterior draws of (alpha, beta) for Gamma data on rows ``[y]``.
 
     The chain walks the (mean, sd) parameterization under
     Uniform(0.0001, 10000) priors on each coordinate; proposals outside
     the prior box have log density ``-inf`` and are rejected, and a data
-    mean or sd outside it raises :class:`DegenerateChain`.  Draws are
-    reported as shape and rate: alpha = mean^2/sd^2, beta = mean/sd^2.
+    mean or sd outside it raises :class:`DegenerateChain`.  Returns
+    ``(draws, rate)``: the (2, T) retained draws as shape and rate,
+    alpha = mean^2/sd^2 and beta = mean/sd^2, and the post-burn-in
+    acceptance rate.
     """
-    return _gamma_chain(y, config)[0]
-
-
-def _gamma_chain(y, config):
-    """:func:`sample_gamma_posterior` with the chain's acceptance rate."""
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise NonPositiveData("shard is empty")
+    y = rows[:, 0]
     if np.any(y <= 0.0):
         raise NonPositiveData("Gamma observations must be strictly positive")
     log_density = _gamma_log_posterior(y)
@@ -395,12 +363,10 @@ def _sample_rows(model, rows, config):
     Returns the draws and the post-burn-in acceptance rate with the
     warnings the chain raised, so that the parent can re-issue them.
     """
+    chain = _logistic_chain if model == "logistic" else _gamma_chain
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if model == "logistic":
-            draws, rate = _logistic_chain(*split_logistic_rows(rows), config)
-        else:
-            draws, rate = _gamma_chain(rows[:, 0], config)
+        draws, rate = chain(rows, config)
     return draws, rate, [w.message for w in caught]
 
 
@@ -410,26 +376,31 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def run_chains(model, blocks, configs):
-    """Sample one chain per block of data rows, in parallel processes.
+def run_chains(model, rows, shards, config):
+    """Shard the data rows and sample every shard and the full data.
 
-    ``model`` is ``"logistic"`` (rows ``[y, x_1, ..., x_d]``, as
-    :meth:`LogisticProblem.data_matrix` gives them) or ``"gamma"``
-    (one-column rows ``[y]``), and ``configs[k]`` drives the chain on
-    ``blocks[k]``.  The chains share nothing, so they run in forked
+    ``model`` is ``"logistic"`` (rows ``[y, x_1, ..., x_d]``) or
+    ``"gamma"`` (rows ``[y]``), as the simulators return them.  With
+    ``s = config.seed``, the rows are cut into ``shards`` blocks by
+    ``partition_rows(rows, shards, seed=s + 1)``, and chain ``m`` runs
+    ``config`` with seed ``s + 2 + m``: the shards in order, then the
+    full-data chain.  The chains share nothing, so they run in forked
     worker processes, one per usable core at most, largest block first:
-    the full-data chain is the longest.  Each chain is seeded by its own
-    config, so the draws equal a one-chain-at-a-time loop bit for bit,
-    whatever the core count.  An error raised in a worker reaches the
-    caller with its own type, and the chains' warnings are re-issued
-    here in chain order.  Returns ``(chains, rates)``: the (d, T) draws
-    and the post-burn-in acceptance rates, in input order.
+    the full-data chain is the longest.  The draws equal a
+    one-chain-at-a-time loop bit for bit, whatever the core count.  An
+    error raised in a worker reaches the caller with its own type, and
+    the chains' warnings are re-issued here in chain order.
+
+    Returns ``(bundle, full_chain, rates)``: the
+    :class:`SubposteriorBundle` of the shard chains, the (d, T)
+    full-data draws, and the post-burn-in acceptance rates, shards first
+    and the full-data chain last.
     """
     if model not in ("logistic", "gamma"):
         raise ValueError(f"unknown model {model!r}")
-    if len(blocks) != len(configs):
-        raise ValueError("need one config per block")
-    blocks = [np.asarray(block, dtype=float) for block in blocks]
+    rows = np.asarray(rows, dtype=float)
+    blocks = [*partition_rows(rows, shards, seed=config.seed + 1), rows]
+    configs = [replace(config, seed=config.seed + 2 + m) for m in range(len(blocks))]
     order = sorted(range(len(blocks)), key=lambda k: -blocks[k].shape[0])
     # Fork, not spawn: the pool lives for one call, and a spawned worker
     # would pay a fresh interpreter and numpy import, about 0.3 s, each call.
@@ -445,4 +416,5 @@ def run_chains(model, blocks, configs):
             warnings.warn(message, stacklevel=2)
         chains.append(draws)
         rates.append(rate)
-    return chains, rates
+    full_chain = chains.pop()
+    return validate_bundle(np.stack(chains, axis=2)), full_chain, rates

@@ -16,7 +16,6 @@ package writes goes through it.
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,44 +28,6 @@ FLOAT_FORMAT = "%.17g"
 
 # Rows formatted per ``%`` operation; bounds the string held in memory.
 WRITE_BLOCK_ROWS = 4096
-
-
-@dataclass
-class BundleManifest:
-    """Description of an on-disk bundle."""
-
-    d: int
-    T: int
-    M: int
-    machine_files: list = field(default_factory=list)
-    created_by: str = ""
-    seed: int | None = None
-
-    def to_dict(self):
-        out = asdict(self)
-        if self.seed is None:
-            del out["seed"]
-        return out
-
-    @classmethod
-    def from_dict(cls, raw):
-        try:
-            manifest = cls(
-                d=int(raw["d"]),
-                T=int(raw["T"]),
-                M=int(raw["M"]),
-                machine_files=list(raw["machine_files"]),
-                created_by=str(raw.get("created_by", "")),
-                seed=raw.get("seed"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed manifest: {exc}") from exc
-        if len(manifest.machine_files) != manifest.M:
-            raise DimensionMismatch(
-                f"manifest lists {len(manifest.machine_files)} machine files "
-                f"but M={manifest.M}"
-            )
-        return manifest
 
 
 def write_matrix(path, matrix):
@@ -135,8 +96,9 @@ def write_bundle(bundle, manifest_path, seed=None):
     """Write a bundle as one matrix file per machine plus a manifest.
 
     Machine files land next to the manifest as ``machine_<m>.csv`` and
-    are recorded in the manifest by relative name.  Returns the
-    :class:`BundleManifest` written.
+    are recorded in the manifest by relative name.  The manifest holds
+    d, T, M, ``machine_files`` and ``created_by``, then ``seed`` when one
+    is given.
     """
     manifest_path = Path(manifest_path)
     directory = manifest_path.parent
@@ -147,25 +109,22 @@ def write_bundle(bundle, manifest_path, seed=None):
         name = f"machine_{m + 1:0{pad}d}.csv"
         write_matrix(directory / name, bundle.values[:, :, m].T)
         names.append(name)
-    manifest = BundleManifest(
-        d=bundle.d,
-        T=bundle.T,
-        M=bundle.M,
-        machine_files=names,
-        created_by=f"chaincombine {__version__}",
-        seed=seed,
-    )
+    manifest = {"d": bundle.d, "T": bundle.T, "M": bundle.M, "machine_files": names,
+                "created_by": f"chaincombine {__version__}"}
+    if seed is not None:
+        manifest["seed"] = seed
     with open(manifest_path, "w") as handle:
-        json.dump(manifest.to_dict(), handle, indent=2)
+        json.dump(manifest, handle, indent=2)
         handle.write("\n")
-    return manifest
 
 
 def read_bundle(manifest_path):
     """Load a bundle from its manifest.
 
-    Every machine file must parse to a (T, d) matrix matching the
-    manifest dimensions; mismatches name the offending file.
+    The dimensions must be positive, and every machine file must parse
+    to a (T, d) matrix matching them; mismatches name the offending
+    file.  The files are read before any array of the manifest's size
+    is made.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -175,18 +134,26 @@ def read_bundle(manifest_path):
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    manifest = BundleManifest.from_dict(raw)
-    directory = manifest_path.parent
-    values = np.empty((manifest.d, manifest.T, manifest.M))
-    for m, name in enumerate(manifest.machine_files):
-        matrix = read_matrix(directory / name)
-        if matrix.shape != (manifest.T, manifest.d):
+    try:
+        d, T, M = int(raw["d"]), int(raw["T"]), int(raw["M"])
+        names = list(raw["machine_files"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed manifest: {exc}") from exc
+    if len(names) != M:
+        raise DimensionMismatch(f"manifest lists {len(names)} machine files but M={M}")
+    if min(d, T, M) < 1:
+        raise DimensionMismatch(f"manifest dimensions must all be >= 1, "
+                                f"got (d={d}, T={T}, M={M})")
+    matrices = []
+    for name in names:
+        matrix = read_matrix(manifest_path.parent / name)
+        if matrix.shape != (T, d):
             raise DimensionMismatch(
-                f"{name}: expected {manifest.T} rows x {manifest.d} columns, "
+                f"{name}: expected {T} rows x {d} columns, "
                 f"got {matrix.shape[0]} x {matrix.shape[1]}"
             )
-        values[:, :, m] = matrix.T
-    return SubposteriorBundle(values)
+        matrices.append(matrix.T)
+    return SubposteriorBundle(np.stack(matrices, axis=2))
 
 
 def write_samples(path, combined):

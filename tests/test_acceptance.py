@@ -130,15 +130,10 @@ def test_criterion_2_dpe_on_gaussians():
 def logistic_distances(n, M, T, burnin, seed):
     """Simulate, shard, sample (shards + full data), combine four ways and
     return the beta_1-marginal relative L2 distance per method."""
-    problem = simulate_logistic_data(n, BETA_TRUE, seed=seed)
-    rows = problem.data_matrix()
-    shards = partition_rows(rows, M, seed=seed + 1)
-    configs = [
-        MhConfig(iterations=T, burnin=burnin, seed=seed + 2 + m, thin=THIN)
-        for m in range(M + 1)
-    ]
-    (*chains, full), _ = run_chains("logistic", [*shards, rows], configs)
-    bundle = shuffle_within_machines(validate_bundle(np.stack(chains, axis=2)), seed)
+    rows = simulate_logistic_data(n, BETA_TRUE, seed=seed)
+    config = MhConfig(iterations=T, burnin=burnin, seed=seed, thin=THIN)
+    bundle, full, _ = run_chains("logistic", rows, M, config)
+    bundle = shuffle_within_machines(bundle, seed)
     combined = combine_all(bundle, seed)
     return {
         name: relative_l2_distance(full[0], result.values[0])
@@ -166,15 +161,10 @@ def test_criterion_4_gamma_desk_scale():
     with criterion_report("4 gamma-desk-scale"):
         start = time.time()
         seed = 0
-        problem = simulate_gamma_data(50000, 4.0, 2.0, seed=seed)
-        rows = problem.y[:, None]
-        shards = partition_rows(rows, 5, seed=seed + 1)
-        configs = [
-            MhConfig(iterations=10000, burnin=1000, seed=seed + 2 + m, thin=THIN)
-            for m in range(6)
-        ]
-        (*chains, full), _ = run_chains("gamma", [*shards, rows], configs)
-        bundle = shuffle_within_machines(validate_bundle(np.stack(chains, axis=2)), seed)
+        rows = simulate_gamma_data(50000, 4.0, 2.0, seed=seed)
+        config = MhConfig(iterations=10000, burnin=1000, seed=seed, thin=THIN)
+        bundle, full, _ = run_chains("gamma", rows, 5, config)
+        bundle = shuffle_within_machines(bundle, seed)
         combined = combine_all(bundle, seed)
         for name, result in combined.items():
             alpha_distance = relative_l2_distance(full[0], result.values[0])

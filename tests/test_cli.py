@@ -306,3 +306,31 @@ class TestHarnessCommand:
                      "--combined", str(combined)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3  # header + one row per parameter
+
+
+@pytest.mark.parametrize("argv", [
+    ["harness", "--iters", "1"],
+    ["harness", "--burnin", "-1"],
+    ["harness", "--thin", "0"],
+    ["harness", "--n", "0"],
+    ["harness", "--n", "-5"],
+    ["harness", "--model", "gamma", "--alpha", "-1"],
+    ["harness", "--seed", "-3"],
+    ["combine", "--seed", "-1"],
+    ["combine", "--shuff", "--seed", "-1"],
+], ids=" ".join)
+def test_bad_argument_value_is_usage_error(tmp_path, bundle_manifest, capsys, argv):
+    # The parser rejects each value: exit 1 with a usage line, never a
+    # traceback, and nothing written.
+    out = tmp_path / "out"
+    command = {
+        "harness": ["harness", "--model", "logistic", "--n", "200", "--iters", "20",
+                    "--burnin", "5", "--out-dir", str(out)],
+        "combine": ["combine", "--method", "semiparam-dpe", "--bundle", str(bundle_manifest),
+                    "--out", str(out / "combined.csv")],
+    }[argv[0]]
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + argv[1:])
+    assert excinfo.value.code == 1
+    assert f"error: UsageError: argument {argv[-2]}: " in capsys.readouterr().err
+    assert not out.exists()

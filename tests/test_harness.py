@@ -8,6 +8,7 @@ the sampler to them bit for bit: same draws, same acceptance rate.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,20 +25,28 @@ from chaincombine import (
     gaussian_product_oracle,
     partition_rows,
     run_chains,
-    sample_gamma_posterior,
-    sample_logistic_posterior,
     simulate_gamma_data,
     simulate_logistic_data,
-    split_logistic_rows,
 )
 from chaincombine.harness import (
     _expit,
+    _gamma_chain,
     _gamma_log_posterior,
+    _logistic_chain,
     _logistic_log_likelihood,
     _logistic_mode,
 )
 
 BETA_REFERENCE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
+
+
+def serial_chains(chain, rows, shards, config):
+    """What ``run_chains`` computes, one chain at a time in this process:
+    the shards cut with seed s + 1, then chain m, the full data last,
+    seeded s + 2 + m.  Returns one ``(draws, rate)`` per chain."""
+    blocks = [*partition_rows(rows, shards, seed=config.seed + 1), rows]
+    return [chain(block, replace(config, seed=config.seed + 2 + m))
+            for m, block in enumerate(blocks)]
 
 
 def reference_random_walk(log_density, start, config):
@@ -109,14 +118,14 @@ def reference_gamma_log_posterior(y):
 
 
 def _logistic_shard():
-    rows = simulate_logistic_data(4000, BETA_REFERENCE, seed=60).data_matrix()
-    x, y = split_logistic_rows(partition_rows(rows, 4, seed=61)[0])
+    shard = partition_rows(simulate_logistic_data(4000, BETA_REFERENCE, seed=60), 4, seed=61)[0]
+    x, y = shard[:, 1:], shard[:, 0]
     return _logistic_log_likelihood(x, y), reference_logistic_log_likelihood(x, y), \
         _logistic_mode(x, y)
 
 
 def _gamma_shard():
-    y = partition_rows(simulate_gamma_data(4000, 4.0, 2.0, seed=62).y, 4, seed=63)[0][:, 0]
+    y = partition_rows(simulate_gamma_data(4000, 4.0, 2.0, seed=62), 4, seed=63)[0][:, 0]
     return _gamma_log_posterior(y), reference_gamma_log_posterior(y), \
         np.array([y.mean(), y.std(ddof=1)])
 
@@ -168,25 +177,27 @@ class TestBitwiseAgainstReference:
 class TestSimulateLogistic:
     def test_zero_coefficients_balance_outcomes(self):
         n = 40000
-        problem = simulate_logistic_data(n, np.zeros(5), seed=0)
-        assert abs(problem.y.mean() - 0.5) < 3.0 / np.sqrt(n)
+        y = simulate_logistic_data(n, np.zeros(5), seed=0)[:, 0]
+        assert abs(y.mean() - 0.5) < 3.0 / np.sqrt(n)
 
     def test_mle_recovers_reference_coefficients(self):
         n = 100000
-        problem = simulate_logistic_data(n, BETA_REFERENCE, seed=1)
-        beta_hat = _logistic_mode(problem.x, problem.y)
+        rows = simulate_logistic_data(n, BETA_REFERENCE, seed=1)
+        x, y = rows[:, 1:], rows[:, 0]
+        beta_hat = _logistic_mode(x, y)
         # Asymptotic standard errors from the observed information.
-        p = 1.0 / (1.0 + np.exp(-(problem.x @ beta_hat)))
-        info = (problem.x * (p * (1.0 - p))[:, None]).T @ problem.x
+        p = 1.0 / (1.0 + np.exp(-(x @ beta_hat)))
+        info = (x * (p * (1.0 - p))[:, None]).T @ x
         se = np.sqrt(np.diag(np.linalg.inv(info)))
         assert np.all(np.abs(beta_hat - BETA_REFERENCE) < 3.0 * se)
 
     def test_mode_zeroes_the_score(self):
         # Newton's method converges quadratically, so the score
         # X^T (y - p) vanishes at the returned mode to rounding error.
-        problem = simulate_logistic_data(20000, BETA_REFERENCE, seed=1)
-        beta_hat = _logistic_mode(problem.x, problem.y)
-        score = problem.x.T @ (problem.y - _expit(problem.x @ beta_hat))
+        rows = simulate_logistic_data(20000, BETA_REFERENCE, seed=1)
+        x, y = rows[:, 1:], rows[:, 0]
+        beta_hat = _logistic_mode(x, y)
+        score = x.T @ (y - _expit(x @ beta_hat))
         assert np.abs(score).max() <= 1e-8
 
     @pytest.mark.parametrize("design", ["separable", "duplicated-column"])
@@ -223,34 +234,26 @@ class TestSimulateLogistic:
     def test_deterministic(self):
         a = simulate_logistic_data(100, BETA_REFERENCE, seed=3)
         b = simulate_logistic_data(100, BETA_REFERENCE, seed=3)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.y, b.y)
-
-    def test_data_matrix_round_trip(self):
-        problem = simulate_logistic_data(50, BETA_REFERENCE, seed=4)
-        x, y = split_logistic_rows(problem.data_matrix())
-        np.testing.assert_array_equal(x, problem.x)
-        np.testing.assert_array_equal(y, problem.y)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestLogisticPosterior:
     def test_posterior_covers_truth_on_one_shard(self):
-        problem = simulate_logistic_data(10000, BETA_REFERENCE, seed=5)
+        rows = simulate_logistic_data(10000, BETA_REFERENCE, seed=5)
         config = MhConfig(iterations=4000, burnin=500, seed=6)
-        draws = sample_logistic_posterior(problem.x, problem.y, config)
+        draws, _ = _logistic_chain(rows, config)
         assert draws.shape == (5, 4000)
         mean = draws.mean(axis=1)
         sd = draws.std(axis=1, ddof=1)
         assert np.all(np.abs(mean - BETA_REFERENCE) < 3.0 * sd)
 
     def test_disjoint_shards_differ_but_both_cover(self):
-        problem = simulate_logistic_data(10000, BETA_REFERENCE, seed=7)
-        shards = partition_rows(problem.data_matrix(), 2, seed=8)
+        rows = simulate_logistic_data(10000, BETA_REFERENCE, seed=7)
+        shards = partition_rows(rows, 2, seed=8)
         chains = []
         for m, shard in enumerate(shards):
-            x, y = split_logistic_rows(shard)
             config = MhConfig(iterations=3000, burnin=500, seed=9 + m)
-            chains.append(sample_logistic_posterior(x, y, config))
+            chains.append(_logistic_chain(shard, config)[0])
         assert not np.array_equal(chains[0], chains[1])
         for draws in chains:
             mean = draws.mean(axis=1)
@@ -298,8 +301,8 @@ class TestLogisticLogDensity:
         assert np.isfinite(log_density(np.array([1.0, 0.0, 0.0])))
 
     def test_strided_rows_match_contiguous_copy(self):
-        problem = simulate_logistic_data(500, BETA_REFERENCE, seed=41)
-        x, y = split_logistic_rows(problem.data_matrix())
+        rows = simulate_logistic_data(500, BETA_REFERENCE, seed=41)
+        x, y = rows[:, 1:], rows[:, 0]
         assert not x.flags.c_contiguous
         beta = BETA_REFERENCE + 0.1
         strided = _logistic_log_likelihood(x, y)(beta)
@@ -308,87 +311,79 @@ class TestLogisticLogDensity:
 
 
 class TestRunChains:
+    CONFIG = MhConfig(iterations=200, burnin=100, seed=50)
+
     @staticmethod
-    def configs(count, **kwargs):
-        return [MhConfig(iterations=200, burnin=100, seed=50 + k, **kwargs)
-                for k in range(count)]
+    def assert_matches_serial(model, chain, rows, shards, config):
+        bundle, full, rates = run_chains(model, rows, shards, config)
+        serial = serial_chains(chain, rows, shards, config)
+        expected = np.stack([draws for draws, _ in serial[:-1]], axis=2)
+        np.testing.assert_array_equal(bundle.values, expected)
+        np.testing.assert_array_equal(full, serial[-1][0])
+        assert rates == [rate for _, rate in serial]
 
     def test_logistic_matches_serial_bitwise(self):
-        rows = simulate_logistic_data(3000, BETA_REFERENCE, seed=42).data_matrix()
-        blocks = [*partition_rows(rows, 3, seed=43), rows]
-        configs = self.configs(len(blocks), thin=2)
-        chains, rates = run_chains("logistic", blocks, configs)
-        for block, config, chain, rate in zip(blocks, configs, chains, rates):
-            x, y = split_logistic_rows(block)
-            np.testing.assert_array_equal(chain, sample_logistic_posterior(x, y, config))
-            assert rate == harness._logistic_chain(x, y, config)[1]
+        rows = simulate_logistic_data(3000, BETA_REFERENCE, seed=42)
+        self.assert_matches_serial("logistic", _logistic_chain, rows, 3,
+                                   replace(self.CONFIG, thin=2))
 
     def test_gamma_matches_serial_bitwise(self):
-        rows = simulate_gamma_data(3000, 4.0, 2.0, seed=44).y[:, None]
-        blocks = [*partition_rows(rows, 4, seed=45), rows]
-        configs = self.configs(len(blocks))
-        chains, rates = run_chains("gamma", blocks, configs)
-        for block, config, chain, rate in zip(blocks, configs, chains, rates):
-            np.testing.assert_array_equal(chain, sample_gamma_posterior(block[:, 0], config))
-            assert rate == harness._gamma_chain(block[:, 0], config)[1]
+        rows = simulate_gamma_data(3000, 4.0, 2.0, seed=44)
+        self.assert_matches_serial("gamma", _gamma_chain, rows, 4, self.CONFIG)
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([[1.0], [-2.0], [3.0]]), NonPositiveData),
         (np.full((10, 1), 2.5), DegenerateChain),
     ])
     def test_worker_error_keeps_its_type(self, bad, error):
-        good = simulate_gamma_data(500, 4.0, 2.0, seed=46).y[:, None]
         with pytest.raises(error) as caught:
-            run_chains("gamma", [good, bad], self.configs(2))
+            run_chains("gamma", bad, 1, self.CONFIG)
         assert caught.value.exit_code == 2
 
     def test_warnings_reissued_in_chain_order(self, monkeypatch):
         # An empty healthy range makes every chain warn; the forked
         # workers inherit the patched module.
         monkeypatch.setattr(harness, "ACCEPTANCE_HEALTHY", (1.0, 0.0))
-        rows = simulate_gamma_data(2000, 4.0, 2.0, seed=47).y[:, None]
-        blocks = partition_rows(rows, 3, seed=48)
-        configs = self.configs(len(blocks))
+        rows = simulate_gamma_data(2000, 4.0, 2.0, seed=47)
         with pytest.warns(NonConvergenceWarning) as serial:
-            for block, config in zip(blocks, configs):
-                sample_gamma_posterior(block[:, 0], config)
+            serial_chains(_gamma_chain, rows, 3, self.CONFIG)
         with pytest.warns(NonConvergenceWarning) as parallel:
-            run_chains("gamma", blocks, configs)
-        assert len(serial) == len(blocks)
+            run_chains("gamma", rows, 3, self.CONFIG)
+        assert len(serial) == 3 + 1
         assert [str(w.message) for w in parallel] == [str(w.message) for w in serial]
 
     def test_warning_filter_error_raises_in_caller(self, monkeypatch):
         monkeypatch.setattr(harness, "ACCEPTANCE_HEALTHY", (1.0, 0.0))
-        rows = simulate_gamma_data(1000, 4.0, 2.0, seed=49).y[:, None]
+        rows = simulate_gamma_data(1000, 4.0, 2.0, seed=49)
         with warnings.catch_warnings():
             warnings.simplefilter("error", NonConvergenceWarning)
             with pytest.raises(NonConvergenceWarning):
-                run_chains("gamma", [rows], self.configs(1))
+                run_chains("gamma", rows, 1, self.CONFIG)
 
 
 class TestSimulateGamma:
     def test_unit_mean_when_shape_equals_rate(self):
         n = 50000
-        problem = simulate_gamma_data(n, 3.0, 3.0, seed=12)
-        sd = problem.y.std()
-        assert abs(problem.y.mean() - 1.0) < 3.0 * sd / np.sqrt(n)
+        y = simulate_gamma_data(n, 3.0, 3.0, seed=12)
+        assert abs(y.mean() - 1.0) < 3.0 * y.std() / np.sqrt(n)
 
     def test_moments_of_gamma_4_2(self):
-        problem = simulate_gamma_data(100000, 4.0, 2.0, seed=13)
-        assert problem.y.mean() == pytest.approx(2.0, abs=0.02)
-        assert problem.y.var() == pytest.approx(1.0, abs=0.03)
+        y = simulate_gamma_data(100000, 4.0, 2.0, seed=13)
+        assert y.shape == (100000, 1)
+        assert y.mean() == pytest.approx(2.0, abs=0.02)
+        assert y.var() == pytest.approx(1.0, abs=0.03)
 
     def test_deterministic(self):
         a = simulate_gamma_data(100, 4.0, 2.0, seed=14)
         b = simulate_gamma_data(100, 4.0, 2.0, seed=14)
-        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestGammaPosterior:
     def test_posterior_covers_truth(self):
-        problem = simulate_gamma_data(20000, 4.0, 2.0, seed=15)
+        rows = simulate_gamma_data(20000, 4.0, 2.0, seed=15)
         config = MhConfig(iterations=4000, burnin=500, seed=16)
-        draws = sample_gamma_posterior(problem.y, config)
+        draws, _ = _gamma_chain(rows, config)
         assert draws.shape == (2, 4000)
         mean = draws.mean(axis=1)
         sd = draws.std(axis=1, ddof=1)
@@ -396,7 +391,7 @@ class TestGammaPosterior:
         assert abs(mean[1] - 2.0) < 3.0 * sd[1]
 
     def test_prior_box_boundary_rejected(self):
-        log_density = _gamma_log_posterior(simulate_gamma_data(100, 4.0, 2.0, seed=30).y)
+        log_density = _gamma_log_posterior(simulate_gamma_data(100, 4.0, 2.0, seed=30)[:, 0])
         # The Uniform(1e-4, 1e4) priors are open: each edge has no mass.
         for edge in ([1e-4, 1.0], [1e4, 1.0], [2.0, 1e-4], [2.0, 1e4]):
             assert log_density(np.array(edge)) == -np.inf
@@ -404,7 +399,7 @@ class TestGammaPosterior:
 
     def test_stencil_outside_prior_falls_back_to_diagonal(self):
         # The Hessian stencil around this start reaches below mean = 1e-4.
-        log_density = _gamma_log_posterior(simulate_gamma_data(100, 4.0, 2.0, seed=31).y)
+        log_density = _gamma_log_posterior(simulate_gamma_data(100, 4.0, 2.0, seed=31)[:, 0])
         start = np.array([1.5e-4, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -412,20 +407,19 @@ class TestGammaPosterior:
         np.testing.assert_array_equal(chol, np.eye(2))
 
     def test_shape_rate_algebra_against_internal_state(self):
-        problem = simulate_gamma_data(5000, 4.0, 2.0, seed=17)
+        rows = simulate_gamma_data(5000, 4.0, 2.0, seed=17)
+        y = rows[:, 0]
         config = MhConfig(iterations=500, burnin=100, seed=18)
-        alpha, beta = sample_gamma_posterior(problem.y, config)
+        (alpha, beta), _ = _gamma_chain(rows, config)
         # The same (mean, sd) chain, run directly from the same start and seed.
-        start = np.array([problem.y.mean(), problem.y.std(ddof=1)])
-        (lam, delta), _ = adaptive_random_walk(
-            _gamma_log_posterior(problem.y), start, config
-        )
+        start = np.array([y.mean(), y.std(ddof=1)])
+        (lam, delta), _ = adaptive_random_walk(_gamma_log_posterior(y), start, config)
         np.testing.assert_allclose(alpha / beta, lam, rtol=1e-12)
         np.testing.assert_allclose(alpha / beta**2, delta**2, rtol=1e-12)
 
     def test_nonpositive_data_rejected(self):
         with pytest.raises(NonPositiveData):
-            sample_gamma_posterior(np.array([1.0, -2.0, 3.0]), MhConfig(iterations=10, burnin=0))
+            _gamma_chain(np.array([[1.0], [-2.0], [3.0]]), MhConfig(iterations=10, burnin=0))
 
 
 class TestPartitionRows:

@@ -96,8 +96,9 @@ def test_write_matrix_bytes_equal_savetxt(matrix, block_rows):
 class TestBundleFiles:
     def test_round_trip_identity(self, tmp_path, bundle):
         manifest_path = tmp_path / "bundle.json"
-        manifest = write_bundle(bundle, manifest_path, seed=42)
-        assert manifest.machine_files == ["machine_1.csv", "machine_2.csv"]
+        write_bundle(bundle, manifest_path, seed=42)
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["machine_files"] == ["machine_1.csv", "machine_2.csv"]
         loaded = read_bundle(manifest_path)
         np.testing.assert_array_equal(loaded.values, bundle.values)
 

@@ -188,7 +188,8 @@ def malformed_bundles(draw):
     ]
     manifest = {"d": d, "T": T, "M": M,
                 "machine_files": [f"machine_{m + 1}.csv" for m in range(M)]}
-    fault = draw(st.sampled_from(["token", "ragged", "empty", "missing-key", "wrong-M"]))
+    fault = draw(st.sampled_from(["token", "ragged", "empty", "missing-key", "wrong-M",
+                                  "nonpositive-dim"]))
     m = draw(st.integers(0, M - 1))
     lines = texts[m].splitlines()
     t = draw(st.integers(0, T - 1))
@@ -205,6 +206,8 @@ def malformed_bundles(draw):
         del manifest[draw(st.sampled_from(["d", "T", "M", "machine_files"]))]
     elif fault == "wrong-M":
         manifest["M"] = draw(st.integers(0, M + 2).filter(lambda k: k != M))
+    elif fault == "nonpositive-dim":
+        manifest[draw(st.sampled_from(["d", "T"]))] = draw(st.integers(-3, 0))
     return manifest, texts
 
 
