@@ -34,7 +34,7 @@ for m in range(M):
     draws.append(mean[:, None] + np.sqrt(np.diag(cov))[:, None] * rng.standard_normal((d, T)))
     means.append(mean)
     covs.append(cov)
-bundle = cc.validate_bundle(np.stack(draws, axis=2))
+bundle = cc.SubposteriorBundle(np.stack(draws, axis=2))
 mean_star, cov_star = cc.gaussian_product_oracle(means, covs)
 oracle_draws = mean_star[:, None] + np.linalg.cholesky(cov_star) @ rng.standard_normal((d, T))
 

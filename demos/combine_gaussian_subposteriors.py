@@ -27,7 +27,7 @@ for m in range(M):
     means.append(mean)
     covs.append(cov)
 
-bundle = cc.validate_bundle(np.stack(draws, axis=2))
+bundle = cc.SubposteriorBundle(np.stack(draws, axis=2))
 mean_star, cov_star = cc.gaussian_product_oracle(means, covs)
 print(f"bundle: d={d}, T={T}, M={M}")
 print("oracle pooled mean:", np.round(mean_star, 5))

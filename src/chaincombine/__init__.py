@@ -15,7 +15,6 @@ from .core import (
     CombinedSamples,
     SubposteriorBundle,
     shuffle_within_machines,
-    validate_bundle,
 )
 from .combiners import (
     DpeConfig,
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     "SubposteriorBundle",
     "CombinedSamples",
-    "validate_bundle",
     "shuffle_within_machines",
     "DpeConfig",
     "machine_moments",

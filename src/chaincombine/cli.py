@@ -29,7 +29,7 @@ from .combiners import (
     sample_average,
     semiparametric_dpe,
 )
-from .core import CombinedSamples, _check_finite, shuffle_within_machines
+from .core import CombinedSamples, shuffle_within_machines
 from .density import density_pair, relative_l2_distance
 from .errors import ChainCombineError, DimensionMismatch
 from .harness import MhConfig, run_chains, simulate_gamma_data, simulate_logistic_data
@@ -90,8 +90,8 @@ def build_parser():
     combine.add_argument("--seed", type=_number(int, 0), default=0)
     combine.add_argument(
         "--bandw",
-        default=None,
-        help="comma-separated starting bandwidths (semiparam-dpe only)",
+        default="1",
+        help="comma-separated starting bandwidths (semiparam-dpe only; default 1 for all)",
     )
     combine.add_argument(
         "--no-anneal",
@@ -100,7 +100,7 @@ def build_parser():
     )
     combine.add_argument(
         "--discard",
-        type=int,
+        type=_number(int, 0),
         default=0,
         help="drop this many leading draws from the semiparam-dpe chain",
     )
@@ -125,7 +125,9 @@ def build_parser():
     harness.add_argument(
         "--n", type=_number(int, 1), default=20_000, help="observations to simulate"
     )
-    harness.add_argument("--shards", type=int, default=5, help="number of data shards M")
+    harness.add_argument(
+        "--shards", type=_number(int, 1), default=5, help="number of data shards M"
+    )
     harness.add_argument("--iters", type=_number(int, 2), default=10_000, help="retained draws T")
     harness.add_argument("--burnin", type=_number(int, 0), default=1_000)
     harness.add_argument(
@@ -157,7 +159,7 @@ def run_combine(args):
         config = DpeConfig(bandw=bandw, anneal=not args.no_anneal, seed=args.seed)
         combined = semiparametric_dpe(bundle, config)
         if args.discard:
-            if not 0 <= args.discard < combined.T:
+            if args.discard >= combined.T:
                 raise DimensionMismatch(
                     f"--discard must lie in [0, {combined.T}), got {args.discard}"
                 )
@@ -176,8 +178,6 @@ def run_combine(args):
 
 
 def _parse_bandwidths(text):
-    if text is None:
-        return None
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
@@ -188,8 +188,6 @@ def run_metric(args):
     """Print per-parameter relative L2 distances between two sample files."""
     full = read_samples(args.full)
     combined = read_samples(args.combined)
-    _check_finite(full, f"{args.full}: ")
-    _check_finite(combined, f"{args.combined}: ")
     if full.shape[0] != combined.shape[0]:
         raise DimensionMismatch(
             f"parameter count mismatch: full has {full.shape[0]}, "

@@ -37,14 +37,12 @@ class DpeConfig:
     otherwise it stays fixed.
     """
 
-    bandw: object = None
+    bandw: object = 1.0
     anneal: bool = True
     seed: int = 0
 
     def resolved_bandwidths(self, d):
         """The (d,) starting-bandwidth vector, validated positive."""
-        if self.bandw is None:
-            return np.ones(d)
         bandw = np.atleast_1d(np.asarray(self.bandw, dtype=float))
         if bandw.size == 1:
             bandw = np.full(d, bandw[0])
@@ -272,7 +270,7 @@ class _DpeBasis:
         return self.mean[:, None] + self.scale[:, None] * (self.eigvec @ inner.T)
 
 
-def semiparametric_dpe(bundle, config=None):
+def semiparametric_dpe(bundle, config=DpeConfig()):
     """Sample the pooled posterior via the semiparametric density product.
 
     Each machine's subposterior density is modeled as a Gaussian fit
@@ -299,11 +297,8 @@ def semiparametric_dpe(bundle, config=None):
     bundle : SubposteriorBundle
         Needs T >= 2 and machine covariances invertible after flooring.
     config : DpeConfig, optional
-        Bandwidths, annealing flag and seed; defaults match
-        ``DpeConfig()``.
+        Bandwidths, annealing flag and seed.
     """
-    if config is None:
-        config = DpeConfig()
     d, T, M = bundle.d, bundle.T, bundle.M
     basis = _DpeBasis(bundle, config.resolved_bandwidths(d))
     rng = np.random.default_rng(config.seed)

@@ -11,7 +11,38 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteValue
 
 
-class SubposteriorBundle:
+class _Draws:
+    """Read-only float draws with one axis, of length >= 1, per ``layout``
+    name: a wrong shape raises :class:`DimensionMismatch` and the first
+    NaN or infinity :class:`NonFiniteValue`."""
+
+    layout = ()
+
+    def __init__(self, values):
+        values = np.array(values, dtype=float)
+        if values.ndim != len(self.layout) or min(values.shape) < 1:
+            raise DimensionMismatch(
+                f"{type(self).__name__} must be a ({', '.join(self.layout)}) array "
+                f"with every dimension >= 1, got shape {values.shape}"
+            )
+        _check_finite(values)
+        values.setflags(write=False)
+        self.values = values
+
+    @property
+    def d(self):
+        return self.values.shape[0]
+
+    @property
+    def T(self):
+        return self.values.shape[1]
+
+    def __repr__(self):
+        dims = ", ".join(f"{k}={n}" for k, n in zip(self.layout, self.values.shape))
+        return f"{type(self).__name__}({dims})"
+
+
+class SubposteriorBundle(_Draws):
     """Validated, immutable container of per-machine MCMC draws.
 
     Parameters
@@ -27,28 +58,7 @@ class SubposteriorBundle:
     refuse to divide by a zero variance and raise at call time.
     """
 
-    def __init__(self, values):
-        values = np.array(values, dtype=float)
-        if values.ndim != 3:
-            raise DimensionMismatch(
-                f"bundle must be a (d, T, M) array, got shape {values.shape}"
-            )
-        d, T, M = values.shape
-        if d < 1 or T < 1 or M < 1:
-            raise DimensionMismatch(
-                f"bundle dimensions must all be >= 1, got (d={d}, T={T}, M={M})"
-            )
-        _check_finite(values)
-        values.setflags(write=False)
-        self.values = values
-
-    @property
-    def d(self):
-        return self.values.shape[0]
-
-    @property
-    def T(self):
-        return self.values.shape[1]
+    layout = ("d", "T", "M")
 
     @property
     def M(self):
@@ -59,33 +69,11 @@ class SubposteriorBundle:
         """(M, d) boolean mask of machine components with constant chains."""
         return (self.values == self.values[:, :1, :]).all(axis=1).T
 
-    def __repr__(self):
-        return f"SubposteriorBundle(d={self.d}, T={self.T}, M={self.M})"
 
+class CombinedSamples(_Draws):
+    """A validated, read-only (d, T) matrix of pooled posterior draws."""
 
-class CombinedSamples:
-    """A (d, T) matrix of pooled posterior draws."""
-
-    def __init__(self, values):
-        values = np.array(values, dtype=float)
-        if values.ndim != 2:
-            raise DimensionMismatch(
-                f"combined samples must be a (d, T) matrix, got shape {values.shape}"
-            )
-        _check_finite(values)
-        values.setflags(write=False)
-        self.values = values
-
-    @property
-    def d(self):
-        return self.values.shape[0]
-
-    @property
-    def T(self):
-        return self.values.shape[1]
-
-    def __repr__(self):
-        return f"CombinedSamples(d={self.d}, T={self.T})"
+    layout = ("d", "T")
 
 
 def _check_finite(values, where=""):
@@ -93,13 +81,6 @@ def _check_finite(values, where=""):
         idx = np.argwhere(~np.isfinite(values))[0]
         pos = ", ".join(str(k) for k in idx)
         raise NonFiniteValue(f"{where}non-finite value at index ({pos})")
-
-
-def validate_bundle(values):
-    """The :class:`SubposteriorBundle` of a (d, T, M) array: raises
-    :class:`DimensionMismatch` on any other shape and
-    :class:`NonFiniteValue` on the first NaN or infinity."""
-    return SubposteriorBundle(values)
 
 
 def shuffle_within_machines(bundle, seed):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import validate_bundle
+from .core import SubposteriorBundle
 from .errors import (
     DegenerateChain,
     NonConvergenceWarning,
@@ -109,15 +109,13 @@ def simulate_gamma_data(n, alpha, beta, seed):
 
 
 def partition_rows(data, n_shards, seed):
-    """Randomly split data rows into ``n_shards`` disjoint blocks.
+    """Randomly split (n, k) data rows into ``n_shards`` disjoint blocks.
 
     Rows are permuted once, then cut into contiguous blocks whose sizes
     differ by at most one.  The union of the shards is exactly the input
     row multiset.
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
     n = data.shape[0]
     if n_shards < 1:
         raise TooManyShards("shard count must be >= 1")
@@ -417,4 +415,4 @@ def run_chains(model, rows, shards, config):
         chains.append(draws)
         rates.append(rate)
     full_chain = chains.pop()
-    return validate_bundle(np.stack(chains, axis=2)), full_chain, rates
+    return SubposteriorBundle(np.stack(chains, axis=2)), full_chain, rates

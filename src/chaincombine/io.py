@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SubposteriorBundle
+from .core import SubposteriorBundle, _check_finite
 from .errors import DimensionMismatch, FileMissing, ParseError
 
 FLOAT_FORMAT = "%.17g"
@@ -43,12 +43,12 @@ def write_matrix(path, matrix):
 def read_matrix(path):
     """Read a headerless comma-separated matrix as a (T, d) float array.
 
-    Raises :class:`FileMissing` if the file does not exist and
+    Raises :class:`FileMissing` if no regular file is there and
     :class:`ParseError` (naming file, line and column) when a field is
     not a number or a row has the wrong width, or when no line holds data.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileMissing(f"matrix file not found: {path}")
     try:
         with warnings.catch_warnings():
@@ -127,7 +127,7 @@ def read_bundle(manifest_path):
     is made.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise FileMissing(f"manifest not found: {manifest_path}")
     try:
         with open(manifest_path, "r") as handle:
@@ -136,9 +136,11 @@ def read_bundle(manifest_path):
         raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from exc
     try:
         d, T, M = int(raw["d"]), int(raw["T"]), int(raw["M"])
-        names = list(raw["machine_files"])
+        names = raw["machine_files"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed manifest: {exc}") from exc
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ParseError("malformed manifest: machine_files must be a list of file names")
     if len(names) != M:
         raise DimensionMismatch(f"manifest lists {len(names)} machine files but M={M}")
     if min(d, T, M) < 1:
@@ -162,5 +164,7 @@ def write_samples(path, combined):
 
 
 def read_samples(path):
-    """Read a combined-samples file back as a (d, T) array."""
-    return read_matrix(path).T
+    """Read a combined-samples file back as a finite (d, T) array."""
+    samples = read_matrix(path).T
+    _check_finite(samples, f"{path}: ")
+    return samples

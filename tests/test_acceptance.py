@@ -15,6 +15,7 @@ import pytest
 from chaincombine import (
     DpeConfig,
     MhConfig,
+    SubposteriorBundle,
     consensus_covariance,
     consensus_independent,
     gaussian_product_oracle,
@@ -27,7 +28,6 @@ from chaincombine import (
     silverman_bandwidth,
     simulate_gamma_data,
     simulate_logistic_data,
-    validate_bundle,
 )
 from chaincombine.cli import main
 from chaincombine.combiners import _bandwidth_scales
@@ -59,7 +59,7 @@ def gaussian_subposteriors(rng, d, T, M, scale=0.005, diagonal=False):
         draws.append(mean[:, None] + chol @ rng.standard_normal((d, T)))
         means.append(mean)
         covs.append(cov)
-    bundle = validate_bundle(np.stack(draws, axis=2))
+    bundle = SubposteriorBundle(np.stack(draws, axis=2))
     mean_star, cov_star = gaussian_product_oracle(means, covs)
     return bundle, mean_star, cov_star
 
@@ -176,7 +176,7 @@ def test_criterion_5_reduction_identities():
     with criterion_report("5 reduction-identities"):
         # (a) full-covariance weights reduce to per-component weights at d=1.
         rng = np.random.default_rng(105)
-        bundle = validate_bundle(2.0 + rng.standard_normal((1, 500, 4)))
+        bundle = SubposteriorBundle(2.0 + rng.standard_normal((1, 500, 4)))
         np.testing.assert_allclose(
             consensus_covariance(bundle).values,
             consensus_independent(bundle).values,
@@ -185,12 +185,12 @@ def test_criterion_5_reduction_identities():
         )
         # (b) equal machine variances make the weights cancel bitwise.
         base = rng.standard_normal((3, 100))
-        equal = validate_bundle(np.stack([base, -base, -base], axis=2))
+        equal = SubposteriorBundle(np.stack([base, -base, -base], axis=2))
         np.testing.assert_array_equal(
             consensus_independent(equal).values, sample_average(equal).values
         )
         # (c) M=1 is the exact identity for all three linear combiners.
-        single = validate_bundle(rng.standard_normal((2, 300, 1)))
+        single = SubposteriorBundle(rng.standard_normal((2, 300, 1)))
         for combine in (sample_average, consensus_independent, consensus_covariance):
             np.testing.assert_array_equal(
                 combine(single).values, single.values[:, :, 0]
@@ -222,7 +222,7 @@ def test_criterion_7_annealing_schedule(tmp_path):
         from chaincombine.io import read_matrix, write_bundle
 
         rng = np.random.default_rng(107)
-        bundle = validate_bundle(0.02 * rng.standard_normal((1, 300, 3)))
+        bundle = SubposteriorBundle(0.02 * rng.standard_normal((1, 300, 3)))
         manifest = tmp_path / "bundle.json"
         write_bundle(bundle, manifest)
         out_fixed = tmp_path / "fixed.csv"
@@ -236,7 +236,7 @@ def test_criterion_7_annealing_schedule(tmp_path):
 def test_criterion_8_shuffle_and_partition_properties():
     with criterion_report("8 shuffle-partition-properties"):
         rng = np.random.default_rng(108)
-        bundle = validate_bundle(rng.standard_normal((3, 40, 4)))
+        bundle = SubposteriorBundle(rng.standard_normal((3, 40, 4)))
         shuffled = shuffle_within_machines(bundle, seed=9)
         for m in range(bundle.M):
             before = np.sort(bundle.values[:, :, m].T.tolist(), axis=0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chaincombine
-from chaincombine import validate_bundle
+from chaincombine import SubposteriorBundle
 from chaincombine.cli import main
 from chaincombine.io import read_bundle, read_matrix, write_bundle
 
@@ -33,7 +33,7 @@ def bundle_manifest(tmp_path):
     rng = np.random.default_rng(0)
     values = 0.05 * rng.standard_normal((2, 200, 3)) + np.array([1.0, -2.0])[:, None, None]
     manifest_path = tmp_path / "bundle.json"
-    write_bundle(validate_bundle(values), manifest_path)
+    write_bundle(SubposteriorBundle(values), manifest_path)
     return manifest_path
 
 
@@ -106,7 +106,7 @@ class TestCombineCommand:
         values = np.full((2, 50, 2), constant)
         values[:, :, 0] = np.random.default_rng(1).standard_normal((2, 50))
         manifest = tmp_path / "bad.json"
-        write_bundle(validate_bundle(values), manifest)
+        write_bundle(SubposteriorBundle(values), manifest)
         code = main(["combine", "--method", "semiparam-dpe",
                      "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
         assert code == 3
@@ -118,7 +118,7 @@ class TestCombineCommand:
         values = np.random.default_rng(2).standard_normal((2, 500, 3))
         values[0, :, 1] = 0.7
         manifest = tmp_path / "partly.json"
-        write_bundle(validate_bundle(values), manifest)
+        write_bundle(SubposteriorBundle(values), manifest)
         code = main(["combine", "--method", "semiparam-dpe",
                      "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -316,8 +316,11 @@ class TestHarnessCommand:
     ["harness", "--n", "-5"],
     ["harness", "--model", "gamma", "--alpha", "-1"],
     ["harness", "--seed", "-3"],
+    ["harness", "--shards", "0"],
+    ["harness", "--shards", "-2"],
     ["combine", "--seed", "-1"],
     ["combine", "--shuff", "--seed", "-1"],
+    ["combine", "--discard", "-1"],
 ], ids=" ".join)
 def test_bad_argument_value_is_usage_error(tmp_path, bundle_manifest, capsys, argv):
     # The parser rejects each value: exit 1 with a usage line, never a

@@ -1,4 +1,5 @@
-"""The three linear combiners and the machine moments they share.
+"""The three linear combiners, the machine moments they share, and the
+guarded SPD inversion.
 
 Derived expectations are computed by independent brute-force oracles in
 the tests themselves (elementwise means, explicit matrix algebra) so the
@@ -10,18 +11,19 @@ import pytest
 
 from chaincombine import (
     DegenerateChain,
+    SingularCovariance,
+    SubposteriorBundle,
     consensus_covariance,
     consensus_independent,
     gaussian_product_oracle,
     machine_moments,
     sample_average,
-    validate_bundle,
 )
-from chaincombine.combiners import _DpeBasis
+from chaincombine.combiners import _DpeBasis, spd_inverse
 
 
 def random_bundle(rng, d, T, M, loc=0.0):
-    return validate_bundle(loc + rng.standard_normal((d, T, M)))
+    return SubposteriorBundle(loc + rng.standard_normal((d, T, M)))
 
 
 class TestSampleAverage:
@@ -32,7 +34,7 @@ class TestSampleAverage:
         np.testing.assert_array_equal(out.values, bundle.values[:, :, 0])
 
     def test_two_machines_single_draw(self):
-        bundle = validate_bundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
+        bundle = SubposteriorBundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
         out = sample_average(bundle)
         np.testing.assert_array_equal(out.values, [[2.0], [3.0]])
 
@@ -49,7 +51,7 @@ class TestSampleAverage:
     def test_tolerates_zero_variance_chain(self):
         values = np.ones((1, 4, 2))
         values[0, :, 1] = [1.0, 2.0, 3.0, 4.0]
-        out = sample_average(validate_bundle(values))
+        out = sample_average(SubposteriorBundle(values))
         np.testing.assert_allclose(out.values[0], [1.0, 1.5, 2.0, 2.5])
 
 
@@ -57,13 +59,13 @@ class TestMachineSummary:
     """Hand cases for :func:`machine_moments`, every machine's Gaussian fit."""
 
     def test_scalar_hand_case(self):
-        bundle = validate_bundle(np.array([0.0, 2.0]).reshape(1, 2, 1))
+        bundle = SubposteriorBundle(np.array([0.0, 2.0]).reshape(1, 2, 1))
         means, covs = machine_moments(bundle)
         assert means[0, 0] == 1.0
         assert covs[0, 0, 0] == 2.0  # (1 + 1) / (T - 1)
 
     def test_constant_chain_flagged(self):
-        bundle = validate_bundle(np.full((1, 3, 1), 5.0))
+        bundle = SubposteriorBundle(np.full((1, 3, 1), 5.0))
         means, covs = machine_moments(bundle)
         assert means[0, 0] == 5.0
         assert covs[0, 0, 0] == 0.0
@@ -71,11 +73,11 @@ class TestMachineSummary:
 
     def test_two_dim_hand_case(self):
         draws = np.array([[0.0, 2.0], [0.0, 2.0]]).reshape(2, 2, 1)
-        _, covs = machine_moments(validate_bundle(draws))
+        _, covs = machine_moments(SubposteriorBundle(draws))
         np.testing.assert_allclose(covs[0], [[2.0, 2.0], [2.0, 2.0]])
 
     def test_needs_two_draws(self):
-        bundle = validate_bundle(np.zeros((2, 1, 1)))
+        bundle = SubposteriorBundle(np.zeros((2, 1, 1)))
         with pytest.raises(DegenerateChain):
             machine_moments(bundle)
 
@@ -85,7 +87,7 @@ class TestConsensusIndependent:
         # Machine 1 draws {0, 2} (variance 2), machine 2 draws {0, 4}
         # (variance 8): weights 0.5 and 0.125, combined draws {0, 2.4}.
         values = np.array([[[0.0, 0.0], [2.0, 4.0]]])
-        out = consensus_independent(validate_bundle(values))
+        out = consensus_independent(SubposteriorBundle(values))
         np.testing.assert_allclose(out.values, [[0.0, 2.4]], rtol=1e-14)
 
     def test_equal_variances_reduce_to_sample_average_bitwise(self):
@@ -93,7 +95,7 @@ class TestConsensusIndependent:
         base = rng.standard_normal((2, 40))
         # Sign flips change the draws but leave every float of the sample
         # variance computation identical, so the weights cancel exactly.
-        bundle = validate_bundle(np.stack([base, -base, -base], axis=2))
+        bundle = SubposteriorBundle(np.stack([base, -base, -base], axis=2))
         np.testing.assert_array_equal(
             consensus_independent(bundle).values, sample_average(bundle).values
         )
@@ -109,7 +111,7 @@ class TestConsensusIndependent:
         values = np.ones((1, 4, 2))
         values[0, :, 1] = [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(DegenerateChain):
-            consensus_independent(validate_bundle(values))
+            consensus_independent(SubposteriorBundle(values))
 
 
 class TestConsensusCovariance:
@@ -123,7 +125,7 @@ class TestConsensusCovariance:
     def test_shared_covariance_reduces_to_sample_average(self):
         rng = np.random.default_rng(5)
         base = rng.standard_normal((3, 60, 1))
-        bundle = validate_bundle(np.concatenate([base + m for m in range(4)], axis=2))
+        bundle = SubposteriorBundle(np.concatenate([base + m for m in range(4)], axis=2))
         np.testing.assert_allclose(
             consensus_covariance(bundle).values,
             sample_average(bundle).values,
@@ -160,7 +162,7 @@ class TestConsensusCovariance:
 
         m1 = draws_with_diag_cov(1.0, 4.0, [0.0, 0.0])
         m2 = draws_with_diag_cov(4.0, 1.0, [1.0, 1.0])
-        bundle = validate_bundle(np.stack([m1, m2], axis=2))
+        bundle = SubposteriorBundle(np.stack([m1, m2], axis=2))
         _, covs = machine_moments(bundle)
         np.testing.assert_allclose(covs[0], np.diag([1.0, 4.0]), atol=1e-12)
         np.testing.assert_allclose(covs[1], np.diag([4.0, 1.0]), atol=1e-12)
@@ -182,7 +184,7 @@ class TestConsensusCovariance:
         values = np.ones((2, 5, 2))
         values[:, :, 0] = np.random.default_rng(8).standard_normal((2, 5))
         with pytest.raises(DegenerateChain):
-            consensus_covariance(validate_bundle(values))
+            consensus_covariance(SubposteriorBundle(values))
 
 
 def pooled_moments(bundle):
@@ -207,7 +209,7 @@ class TestPooledSummary:
     def test_scalar_precision_arithmetic(self):
         # Variances {2, 2} and means {0, 4} pool to variance 1, mean 2.
         values = np.array([[[-1.0, 3.0], [1.0, 5.0]]])
-        mean, cov = pooled_moments(validate_bundle(values))
+        mean, cov = pooled_moments(SubposteriorBundle(values))
         np.testing.assert_allclose(cov, [[1.0]], rtol=1e-9)
         np.testing.assert_allclose(mean, [2.0], rtol=1e-9)
 
@@ -245,7 +247,7 @@ class TestSharedProperties:
         rng = np.random.default_rng(12)
         bundle = random_bundle(rng, 2, 40, 5)
         perm = rng.permutation(5)
-        permuted = validate_bundle(bundle.values[:, :, perm])
+        permuted = SubposteriorBundle(bundle.values[:, :, perm])
         np.testing.assert_allclose(
             combine(bundle).values,
             combine(permuted).values,
@@ -259,7 +261,7 @@ class TestSharedProperties:
         bundle = random_bundle(rng, 2, 30, 3)
         a = np.array([2.5, -0.5])
         b = np.array([1.0, -3.0])
-        mapped = validate_bundle(
+        mapped = SubposteriorBundle(
             a[:, None, None] * bundle.values + b[:, None, None]
         )
         expected = a[:, None] * combine(bundle).values + b[:, None]
@@ -268,10 +270,44 @@ class TestSharedProperties:
         )
 
     def test_T_one_supported_by_sample_average_only(self):
-        bundle = validate_bundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
+        bundle = SubposteriorBundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
         assert bundle.T == 1
         np.testing.assert_array_equal(sample_average(bundle).values, [[2.0], [3.0]])
         with pytest.raises(DegenerateChain):
             consensus_independent(bundle)
         with pytest.raises(DegenerateChain):
             consensus_covariance(bundle)
+
+
+def random_spd(rng, d, scale=1.0):
+    a = rng.standard_normal((d, d))
+    return scale * (a @ a.T / d + np.eye(d))
+
+
+class TestFlooring:
+    def test_pd_matrix_unchanged_within_floor(self):
+        rng = np.random.default_rng(3)
+        cov = random_spd(rng, 3)
+        np.testing.assert_allclose(spd_inverse(cov), np.linalg.inv(cov), rtol=1e-9)
+
+    def test_singular_matrix_becomes_invertible(self):
+        cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
+        inv = spd_inverse(cov)
+        assert np.all(np.isfinite(inv))
+        # The nonsingular direction is inverted correctly: eigenvector
+        # (1,1)/sqrt(2) has eigenvalue 2.  The floored direction carries a
+        # ~1e10 eigenvalue, so projection error is amplified; tolerance
+        # reflects that.
+        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        np.testing.assert_allclose(v @ inv @ v, 0.5, atol=1e-6)
+
+    def test_zero_matrix_raises(self):
+        with pytest.raises(SingularCovariance):
+            spd_inverse(np.zeros((2, 2)))
+        with pytest.raises(SingularCovariance):
+            spd_inverse(np.zeros((3, 3)))
+
+    def test_inverse_of_pd_matrix(self):
+        rng = np.random.default_rng(4)
+        cov = random_spd(rng, 5)
+        np.testing.assert_allclose(spd_inverse(cov) @ cov, np.eye(5), atol=1e-9)

@@ -1,14 +1,14 @@
-"""Bundle validation and the per-machine shuffle."""
+"""Bundle and combined-sample validation, and the per-machine shuffle."""
 
 import numpy as np
 import pytest
 
 from chaincombine import (
+    CombinedSamples,
     DimensionMismatch,
     NonFiniteValue,
     SubposteriorBundle,
     shuffle_within_machines,
-    validate_bundle,
 )
 
 
@@ -17,7 +17,7 @@ class TestValidateBundle:
         raw = np.zeros((2, 3, 2))
         raw[1, 2, 0] = np.nan
         with pytest.raises(NonFiniteValue, match=r"\(1, 2, 0\)"):
-            validate_bundle(raw)
+            SubposteriorBundle(raw)
 
     def test_infinity_rejected(self):
         raw = np.zeros((1, 2, 1))
@@ -27,36 +27,63 @@ class TestValidateBundle:
 
     def test_flat_input_requires_dims(self):
         with pytest.raises(DimensionMismatch):
-            validate_bundle(np.arange(12.0))
+            SubposteriorBundle(np.arange(12.0))
 
     def test_zero_variance_tagged_not_rejected(self):
         raw = np.zeros((2, 3, 2))
         raw[0, :, 0] = 5.0            # constant chain
         raw[1, :, 0] = [1.0, 2.0, 3.0]
         raw[:, :, 1] = np.arange(6.0).reshape(2, 3)
-        bundle = validate_bundle(raw)
+        bundle = SubposteriorBundle(raw)
         assert bundle.zero_variance.any()
         assert bundle.zero_variance[0, 0]
         assert not bundle.zero_variance[0, 1]
         assert not bundle.zero_variance[1].any()
 
     def test_values_are_immutable(self):
-        bundle = validate_bundle(np.zeros((1, 2, 1)))
+        bundle = SubposteriorBundle(np.zeros((1, 2, 1)))
         with pytest.raises(ValueError):
             bundle.values[0, 0, 0] = 1.0
+
+
+class TestCombinedSamples:
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+    def test_requires_a_matrix(self, shape):
+        with pytest.raises(DimensionMismatch):
+            CombinedSamples(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)])
+    def test_zero_dimension_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            CombinedSamples(np.zeros(shape))
+
+    def test_nan_reports_index(self):
+        raw = np.zeros((2, 5))
+        raw[1, 3] = np.nan
+        with pytest.raises(NonFiniteValue, match=r"\(1, 3\)"):
+            CombinedSamples(raw)
+
+    def test_values_are_immutable_copy(self):
+        raw = np.zeros((2, 3))
+        combined = CombinedSamples(raw)
+        assert (combined.d, combined.T) == (2, 3)
+        with pytest.raises(ValueError):
+            combined.values[0, 0] = 1.0
+        raw[0, 0] = 1.0
+        assert combined.values[0, 0] == 0.0
 
 
 class TestShuffleWithinMachines:
     def test_single_machine_two_draws_preserves_multiset(self):
         values = np.array([[1.0, 3.0], [2.0, 4.0]]).reshape(2, 2, 1)
-        bundle = validate_bundle(values)
+        bundle = SubposteriorBundle(values)
         shuffled = shuffle_within_machines(bundle, seed=7)
         drawn = sorted(map(tuple, shuffled.values[:, :, 0].T))
         assert drawn == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_same_seed_same_output(self):
         rng = np.random.default_rng(3)
-        bundle = validate_bundle(rng.standard_normal((3, 20, 4)))
+        bundle = SubposteriorBundle(rng.standard_normal((3, 20, 4)))
         a = shuffle_within_machines(bundle, seed=11)
         b = shuffle_within_machines(bundle, seed=11)
         np.testing.assert_array_equal(a.values, b.values)
@@ -65,7 +92,7 @@ class TestShuffleWithinMachines:
         # Sort-and-compare oracle: a permutation of draw positions leaves
         # each machine's lexicographically sorted draw list unchanged.
         rng = np.random.default_rng(5)
-        bundle = validate_bundle(rng.standard_normal((2, 5, 3)))
+        bundle = SubposteriorBundle(rng.standard_normal((2, 5, 3)))
         shuffled = shuffle_within_machines(bundle, seed=13)
         for m in range(bundle.M):
             before = np.sort(bundle.values[:, :, m].T.tolist(), axis=0)
@@ -77,7 +104,7 @@ class TestShuffleWithinMachines:
         # linear relation between its components and check it survives.
         t = np.arange(10.0)
         values = np.stack([t, 2.0 * t], axis=0).reshape(2, 10, 1)
-        shuffled = shuffle_within_machines(validate_bundle(values), seed=2)
+        shuffled = shuffle_within_machines(SubposteriorBundle(values), seed=2)
         np.testing.assert_array_equal(
             shuffled.values[1, :, 0], 2.0 * shuffled.values[0, :, 0]
         )
@@ -86,7 +113,7 @@ class TestShuffleWithinMachines:
         # Statistical smoke test, not a hard guarantee: with T=12 the
         # chance of two seeds agreeing is 1/12!.
         rng = np.random.default_rng(9)
-        bundle = validate_bundle(rng.standard_normal((1, 12, 2)))
+        bundle = SubposteriorBundle(rng.standard_normal((1, 12, 2)))
         a = shuffle_within_machines(bundle, seed=1)
         b = shuffle_within_machines(bundle, seed=2)
         assert not np.array_equal(a.values, b.values)
@@ -95,7 +122,7 @@ class TestShuffleWithinMachines:
         # combine --shuff --seed s seeds the density-product sampler with
         # default_rng(s); the shuffle must not replay that stream.
         T = 50
-        bundle = validate_bundle(np.arange(float(T)).reshape(1, T, 1))
+        bundle = SubposteriorBundle(np.arange(float(T)).reshape(1, T, 1))
         for seed in (0, 5, 123):
             perm = shuffle_within_machines(bundle, seed).values[0, :, 0]
             assert not np.array_equal(perm, np.random.default_rng(seed).permutation(T))

@@ -10,8 +10,8 @@ from chaincombine import (
     DegenerateChain,
     DpeConfig,
     NonPositiveBandwidth,
+    SubposteriorBundle,
     semiparametric_dpe,
-    validate_bundle,
 )
 from chaincombine.cli import main
 from chaincombine.combiners import _bandwidth_scales, _DpeBasis
@@ -33,7 +33,7 @@ def gaussian_bundle(rng, d, T, M, scale=0.01):
         draws.append(mean[:, None] + chol @ rng.standard_normal((d, T)))
         means.append(mean)
         covs.append(cov)
-    bundle = validate_bundle(np.stack(draws, axis=2))
+    bundle = SubposteriorBundle(np.stack(draws, axis=2))
     mean_star, cov_star = gaussian_product_oracle(means, covs)
     return bundle, mean_star, cov_star
 
@@ -104,7 +104,7 @@ class TestSampler:
     def test_one_draw_per_machine_refused(self, tmp_path, capsys):
         # The machine covariances need two draws each; one draw is a
         # validation error, exit code 2 at the command line.
-        bundle = validate_bundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
+        bundle = SubposteriorBundle(np.array([[[1.0, 3.0]], [[2.0, 4.0]]]))
         with pytest.raises(DegenerateChain):
             semiparametric_dpe(bundle)
         manifest = tmp_path / "bundle.json"
@@ -122,7 +122,7 @@ class TestSampler:
         values = np.random.default_rng(4).standard_normal((2, 500, 3))
         values[0, :, 1] = 0.7
         with pytest.raises(DegenerateChain, match="machine 1 component 0"):
-            semiparametric_dpe(validate_bundle(values))
+            semiparametric_dpe(SubposteriorBundle(values))
 
     def test_single_machine_small_bandwidth_is_near_bootstrap(self):
         # With one machine and a bandwidth well below the sample spread the
@@ -130,7 +130,7 @@ class TestSampler:
         # come back within a few percent.
         rng = np.random.default_rng(2)
         draws = 10.0 + 2.0 * rng.standard_normal((1, 2000, 1))
-        bundle = validate_bundle(draws)
+        bundle = SubposteriorBundle(draws)
         bandw = 0.05 * draws.std()
         out = semiparametric_dpe(bundle, DpeConfig(bandw=bandw, anneal=False, seed=3))
         assert abs(out.values.mean() - draws.mean()) < 0.05 * abs(draws.mean())

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chaincombine import DimensionMismatch, FileMissing, ParseError, validate_bundle
+from chaincombine import DimensionMismatch, FileMissing, ParseError, SubposteriorBundle
 from chaincombine import io as chaincombine_io
 from chaincombine.io import (
     FLOAT_FORMAT,
@@ -29,7 +29,7 @@ def bundle():
     rng = np.random.default_rng(0)
     # Awkward magnitudes on purpose: round-tripping must be exact.
     values = rng.standard_normal((3, 100, 2)) * np.array([1e-7, 1.0, 1e9])[:, None, None]
-    return validate_bundle(values)
+    return SubposteriorBundle(values)
 
 
 class TestMatrixFiles:
@@ -48,6 +48,8 @@ class TestMatrixFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileMissing):
             read_matrix(tmp_path / "nope.csv")
+        with pytest.raises(FileMissing):
+            read_matrix(tmp_path)  # a directory is no matrix file
 
     def test_parse_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -112,7 +114,7 @@ class TestBundleFiles:
 
     def test_shape_mapping(self, tmp_path):
         rng = np.random.default_rng(2)
-        bundle = validate_bundle(rng.standard_normal((3, 100, 2)))
+        bundle = SubposteriorBundle(rng.standard_normal((3, 100, 2)))
         manifest_path = tmp_path / "bundle.json"
         write_bundle(bundle, manifest_path)
         loaded = read_bundle(manifest_path)
@@ -133,6 +135,9 @@ class TestBundleFiles:
         (tmp_path / "machine_1.csv").unlink()
         with pytest.raises(FileMissing):
             read_bundle(manifest_path)
+        (tmp_path / "machine_1.csv").mkdir()
+        with pytest.raises(FileMissing, match="machine_1.csv"):
+            read_bundle(manifest_path)
 
     def test_manifest_machine_count_checked(self, tmp_path, bundle):
         manifest_path = tmp_path / "bundle.json"
@@ -152,6 +157,19 @@ class TestBundleFiles:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileMissing):
             read_bundle(tmp_path / "bundle.json")
+        with pytest.raises(FileMissing):
+            read_bundle(tmp_path)
+
+    @pytest.mark.parametrize("names", [[1, 2], [{"x": 1}, {"x": 2}], "ab"], ids=repr)
+    def test_machine_files_must_be_names(self, tmp_path, bundle, names):
+        # "ab" is no list: read as one, it would name the files a and b.
+        manifest_path = tmp_path / "bundle.json"
+        write_bundle(bundle, manifest_path)
+        raw = json.loads(manifest_path.read_text())
+        raw["machine_files"] = names
+        manifest_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match="machine_files"):
+            read_bundle(manifest_path)
 
     def test_samples_round_trip(self, tmp_path, bundle):
         from chaincombine import sample_average

@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chaincombine import (
+    SubposteriorBundle,
     consensus_covariance,
     consensus_independent,
     machine_moments,
     partition_rows,
     sample_average,
-    validate_bundle,
 )
 from chaincombine.cli import METHODS, main
 from chaincombine.io import read_bundle, write_bundle
@@ -51,7 +51,7 @@ def test_machine_moments_match_numpy(d, T, M, seed, constant_share):
     values = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 3.0), size=(d, T, M))
     constant = rng.uniform(size=(d, M)) < constant_share
     values.transpose(0, 2, 1)[constant] = rng.uniform(-5.0, 5.0, size=(constant.sum(), 1))
-    bundle = validate_bundle(values)
+    bundle = SubposteriorBundle(values)
 
     means, covs = machine_moments(bundle)
 
@@ -84,8 +84,8 @@ def test_consensus_covariance_affine_equivariance(d, T, M, seed):
     r, _ = np.linalg.qr(rng.standard_normal((d, d)))
     a = (q * rng.uniform(0.5, 2.0, size=d)) @ r
     b = rng.uniform(-3.0, 3.0, size=d)
-    bundle = validate_bundle(rng.standard_normal((d, T, M)) + rng.standard_normal((d, 1, M)))
-    mapped = validate_bundle(np.einsum("ij,jtm->itm", a, bundle.values) + b[:, None, None])
+    bundle = SubposteriorBundle(rng.standard_normal((d, T, M)) + rng.standard_normal((d, 1, M)))
+    mapped = SubposteriorBundle(np.einsum("ij,jtm->itm", a, bundle.values) + b[:, None, None])
 
     expected = a @ consensus_covariance(bundle).values + b[:, None]
     got = consensus_covariance(mapped).values
@@ -109,8 +109,8 @@ def test_linear_combiners_ignore_machine_order(d, T, M, seed, data):
     values = (rng.uniform(0.5, 2.0, size=(d, 1, M)) * rng.standard_normal((d, T, M))
               + rng.standard_normal((d, 1, M)))
     order = data.draw(st.permutations(range(M)))
-    bundle = validate_bundle(values)
-    permuted = validate_bundle(values[:, :, order])
+    bundle = SubposteriorBundle(values)
+    permuted = SubposteriorBundle(values[:, :, order])
 
     for combine in (sample_average, consensus_independent, consensus_covariance):
         expected = combine(bundle).values
@@ -127,7 +127,7 @@ def test_linear_combiners_ignore_machine_order(d, T, M, seed, data):
     )
 )
 def test_bundle_file_round_trip_is_bitwise(values):
-    bundle = validate_bundle(values)
+    bundle = SubposteriorBundle(values)
     with tempfile.TemporaryDirectory() as directory:
         manifest = Path(directory) / "bundle.json"
         write_bundle(bundle, manifest)
