@@ -10,8 +10,9 @@ Three subcommands cover the pipeline:
   per-parameter relative L2 distances.
 
 Exit codes: 0 success, 1 usage error, and otherwise the error's own
-``exit_code``: 2 data/validation error, 3 numerical failure.  Errors
-are printed to stderr with an ``error: <Type>:`` prefix.
+``exit_code``: 2 data/validation error or a file that cannot be read or
+written, 3 numerical failure.  Errors are printed to stderr with an
+``error: <Type>:`` prefix.
 """
 
 import argparse
@@ -254,9 +255,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChainCombineError as exc:
+    except (ChainCombineError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", ChainCombineError.exit_code)
 
 
 if __name__ == "__main__":

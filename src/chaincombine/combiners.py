@@ -159,6 +159,17 @@ def consensus_covariance(bundle):
     return _pool(bundle, spd_inverse(covs))
 
 
+def _log_weight(sum_z, sum_q, sum_f, k, c):
+    """Log weight ``(sum z)^2 . k - c sum|z|^2 - sum log_fit`` of a mixture
+    component, up to terms of the bandwidth alone that cancel in a ratio,
+    with ``k, c`` from :meth:`_DpeBasis.weight_terms`.  A loop, not
+    ``sum()``, whose rounding changed in Python 3.12."""
+    kernel = 0.0
+    for z_i, k_i in zip(sum_z, k):
+        kernel += z_i * z_i * k_i
+    return kernel - c * sum_q - sum_f
+
+
 def _bandwidth_scales(T, d, anneal):
     """``s_t = (h_t / bandw)**2`` at steps t = 1..T: annealing shrinks the
     starting bandwidths to ``h_t = bandw * t**(-1/(4+d))``, so early steps
@@ -177,7 +188,7 @@ class _DpeBasis:
     ``Sigma*^-1 + D^-1 / s_t`` then both diagonalize in the eigenbasis
     ``U, lam`` of ``D^-1/2 Sigma* D^-1/2``, so one eigendecomposition
     serves the whole chain.  Draw ``x`` of machine ``m`` is stored as
-    ``z = U^T D^-1/2 (x - mu*)``.
+    ``z = U^T D^-1/2 (x - mu*)``, beside its ``|z|^2`` and fit log density.
     """
 
     def __init__(self, bundle, bandw):
@@ -214,7 +225,7 @@ class _DpeBasis:
         )
 
     def weight_terms(self, s):
-        """Coefficients ``(k, c)`` of :meth:`log_weight` at scale(s) ``s``.
+        """Coefficients ``(k, c)`` of :func:`_log_weight` at scale(s) ``s``.
 
         The kernel term ``-(sum|z|^2 - |sum z|^2 / M) / (2 M s)`` plus the
         compatibility term ``-1/2 sum_i zbar_i^2 / (lam_i + s)`` equals
@@ -227,13 +238,6 @@ class _DpeBasis:
         k = self.eigval / (2.0 * self.M**2 * s * (self.eigval + s))
         return k, c
 
-    @staticmethod
-    def log_weight(sums, k, c):
-        """Log mixture weight of the component with running ``sums``, up to
-        terms that depend on the bandwidth alone and cancel in a ratio."""
-        sum_z, sum_q, sum_f = sums
-        return (sum_z * sum_z) @ k - c * sum_q - sum_f
-
     def run_chain(self, s, indices, machines, proposals, log_u):
         """Walk the mixture-component index chain.
 
@@ -242,24 +246,32 @@ class _DpeBasis:
         weight ratio at scale ``s[t]``.  ``indices`` holds the starting
         index per machine and is updated in place.  Returns the (T, d)
         ``sum z`` after every step and the final running sums.
+
+        The loop runs on Python floats over rows gathered up front; at a
+        fixed scale the current weight changes only on accept.
         """
-        z, z_sq, log_fit, log_weight = self.z, self.z_sq, self.log_fit, self.log_weight
-        k, c = self.weight_terms(s)
-        cur = self.sums(indices)
-        history = np.empty((len(s), z.shape[2]))
-        steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c.tolist())
-        for t, (m, p, lu, k_t, c_t) in enumerate(steps):
-            i = indices[m]
-            prop = (
-                cur[0] + (z[p, m] - z[i, m]),
-                cur[1] + (z_sq[p, m] - z_sq[i, m]),
-                cur[2] + (log_fit[p, m] - log_fit[i, m]),
-            )
-            if lu < log_weight(prop, k_t, c_t) - log_weight(cur, k_t, c_t):
-                indices[m] = p
-                cur = prop
-            history[t] = cur[0]
-        return history, cur
+        k, c = (a.tolist() for a in self.weight_terms(s))
+        fixed = bool((s == s[0]).all())
+        tables, cols = (self.z, self.z_sq, self.log_fit), np.arange(self.M)
+        held_z, held_q, held_f = (a[indices, cols].tolist() for a in tables)
+        sum_z, sum_q, sum_f = self.sums(indices)
+        sum_z, picks, history = sum_z.tolist(), indices.tolist(), []
+        cur_w = _log_weight(sum_z, sum_q, sum_f, k[0], c[0])
+        steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c,
+                    *(a[proposals, machines].tolist() for a in tables))
+        for m, p, lu, k_t, c_t, z_p, q_p, f_p in steps:
+            if not fixed:
+                cur_w = _log_weight(sum_z, sum_q, sum_f, k_t, c_t)
+            prop_z = [a + (b - h) for a, b, h in zip(sum_z, z_p, held_z[m])]
+            prop_q = sum_q + (q_p - held_q[m])
+            prop_f = sum_f + (f_p - held_f[m])
+            prop_w = _log_weight(prop_z, prop_q, prop_f, k_t, c_t)
+            if lu < prop_w - cur_w:
+                picks[m], held_z[m], held_q[m], held_f[m] = p, z_p, q_p, f_p
+                sum_z, sum_q, sum_f, cur_w = prop_z, prop_q, prop_f, prop_w
+            history.append(sum_z)
+        indices[:] = picks
+        return np.array(history), (np.array(sum_z), sum_q, sum_f)
 
     def emit(self, zbar, s, normals):
         """One output draw per row: ``mu* + D^1/2 U [lam / (lam + s) zbar
@@ -289,7 +301,8 @@ def semiparametric_dpe(bundle, config=DpeConfig()):
     formed at the iteration's bandwidth, so the acceptance ratio is
     always taken at a single common bandwidth.  All random numbers are
     drawn up front from ``default_rng(config.seed)``; the chain runs in
-    a rotated basis at O(d) cost per iteration (see :class:`_DpeBasis`)
+    a rotated basis at O(d) cost per iteration, on Python floats over
+    proposal rows gathered before the loop (see :class:`_DpeBasis`),
     and all T draws are emitted in one batched pass after it.
 
     Parameters

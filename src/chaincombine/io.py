@@ -121,10 +121,10 @@ def write_bundle(bundle, manifest_path, seed=None):
 def read_bundle(manifest_path):
     """Load a bundle from its manifest.
 
-    The dimensions must be positive, and every machine file must parse
-    to a (T, d) matrix matching them; mismatches name the offending
-    file.  The files are read before any array of the manifest's size
-    is made.
+    The dimensions must be positive JSON integers, and every machine
+    file must parse to a (T, d) matrix matching them; mismatches name
+    the offending file.  The files are read before any array of the
+    manifest's size is made.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -135,10 +135,12 @@ def read_bundle(manifest_path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from exc
     try:
-        d, T, M = int(raw["d"]), int(raw["T"]), int(raw["M"])
-        names = raw["machine_files"]
-    except (KeyError, TypeError, ValueError) as exc:
+        d, T, M, names = (raw[key] for key in ("d", "T", "M", "machine_files"))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed manifest: {exc}") from exc
+    if any(type(n) is not int for n in (d, T, M)):  # JSON integers; bool is an int
+        raise ParseError(f"malformed manifest: d, T and M must be integers, "
+                         f"got (d={d!r}, T={T!r}, M={M!r})")
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ParseError("malformed manifest: machine_files must be a list of file names")
     if len(names) != M:

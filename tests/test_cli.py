@@ -308,6 +308,30 @@ class TestHarnessCommand:
         assert len(lines) == 3  # header + one row per parameter
 
 
+@pytest.mark.parametrize("blocker", ["regular-file", "read-only-dir"])
+@pytest.mark.parametrize("command", ["harness", "combine"])
+def test_unwritable_output_path_is_validation_error(tmp_path, bundle_manifest, capsys,
+                                                    command, blocker):
+    # Exit 2 with an error that names the path, not an OSError traceback.
+    parent = tmp_path / "blocker"
+    if blocker == "regular-file":
+        parent.write_text("")
+    else:
+        parent.mkdir(mode=0o500)
+        if os.access(parent, os.W_OK):
+            pytest.skip("this user can write to read-only directories")
+    target = parent / "x"
+    argv = {
+        "harness": ["harness", "--model", "gamma", "--n", "60", "--shards", "2", "--iters", "20",
+                    "--burnin", "5", "--out-dir", str(target)],
+        "combine": ["combine", "--method", "semiparam-dpe", "--bundle", str(bundle_manifest),
+                    "--out", f"{target}.csv"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["harness", "--iters", "1"],
     ["harness", "--burnin", "-1"],

@@ -1,4 +1,10 @@
-"""The semiparametric density-product sampler."""
+"""The semiparametric density-product sampler.
+
+``reference_run_chain`` is the index chain in its earlier numpy-array
+form, one weight per ``@`` on length-d arrays.
+``TestBitwiseAgainstReference`` holds ``_DpeBasis.run_chain`` to it bit
+for bit: same history, same final sums, same indices.
+"""
 
 import itertools
 
@@ -14,7 +20,7 @@ from chaincombine import (
     semiparametric_dpe,
 )
 from chaincombine.cli import main
-from chaincombine.combiners import _bandwidth_scales, _DpeBasis
+from chaincombine.combiners import _bandwidth_scales, _DpeBasis, _log_weight
 from chaincombine.harness import gaussian_product_oracle
 from chaincombine.io import write_bundle
 
@@ -214,8 +220,8 @@ class TestEigenbasisAgainstDense:
             for _ in range(5):
                 other = rng.integers(0, T, size=M)
                 want = log_weight(other, h**2) - log_weight(base, h**2)
-                got = basis.log_weight(basis.sums(other), k, c) - basis.log_weight(
-                    basis.sums(base), k, c
+                got = _log_weight(*basis.sums(other), k, c) - _log_weight(
+                    *basis.sums(base), k, c
                 )
                 np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -252,6 +258,57 @@ def run_index_chain(bundle, anneal, seed):
         np.log(rng.uniform(size=T)),
     )
     return basis, indices, history, final
+
+
+def reference_run_chain(basis, s, indices, machines, proposals, log_u):
+    """``_DpeBasis.run_chain`` as it ran on numpy arrays: each step indexes
+    the (T, M, d) draws and takes both weights with a length-d ``@``."""
+    z, z_sq, log_fit = basis.z, basis.z_sq, basis.log_fit
+
+    def log_weight(sums, k, c):
+        sum_z, sum_q, sum_f = sums
+        return (sum_z * sum_z) @ k - c * sum_q - sum_f
+
+    k, c = basis.weight_terms(s)
+    cur = basis.sums(indices)
+    history = np.empty((len(s), z.shape[2]))
+    steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c.tolist())
+    for t, (m, p, lu, k_t, c_t) in enumerate(steps):
+        i = indices[m]
+        prop = (
+            cur[0] + (z[p, m] - z[i, m]),
+            cur[1] + (z_sq[p, m] - z_sq[i, m]),
+            cur[2] + (log_fit[p, m] - log_fit[i, m]),
+        )
+        if lu < log_weight(prop, k_t, c_t) - log_weight(cur, k_t, c_t):
+            indices[m] = p
+            cur = prop
+        history[t] = cur[0]
+    return history, cur
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("bandw", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("anneal", [True, False], ids=["anneal", "fixed"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_chain_equals_reference(self, d, anneal, bandw):
+        rng = np.random.default_rng(100 + d)
+        T, M = 600, 4
+        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        basis = _DpeBasis(bundle, np.full(d, bandw))
+        s = _bandwidth_scales(T, d, anneal)
+        start = rng.integers(0, T, size=M)
+        steps = (rng.integers(0, M, size=T), rng.integers(0, T, size=T),
+                 np.log(rng.uniform(size=T)))
+        indices, ref_indices = start.copy(), start.copy()
+        history, final = basis.run_chain(s, indices, *steps)
+        ref_history, ref_final = reference_run_chain(basis, s, ref_indices, *steps)
+        np.testing.assert_array_equal(history, ref_history)
+        np.testing.assert_array_equal(final[0], ref_final[0])
+        assert (final[1], final[2]) == (ref_final[1], ref_final[2])
+        np.testing.assert_array_equal(indices, ref_indices)
+        # The chain both moved and stayed: each branch of the step ran.
+        assert 1 < len(np.unique(history, axis=0)) < T
 
 
 class TestChainState:
@@ -338,7 +395,7 @@ class TestAcceptanceRatio:
         deltas = []
         for shift in (0.0, baseline):
             weights = [
-                basis.log_weight((sum_z, sum_q, sum_f + shift), k, c)
+                _log_weight(sum_z, sum_q, sum_f + shift, k, c)
                 for sum_z, sum_q, sum_f in states
             ]
             deltas.append(weights[1] - weights[0])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -169,6 +170,18 @@ class TestBundleFiles:
         raw["machine_files"] = names
         manifest_path.write_text(json.dumps(raw))
         with pytest.raises(ParseError, match="machine_files"):
+            read_bundle(manifest_path)
+
+    @pytest.mark.parametrize("key, value", [("d", 1.9), ("d", True), ("T", "4"), ("M", 2.5)],
+                             ids=["d=1.9", "d=true", 'T="4"', "M=2.5"])
+    def test_dimensions_must_be_integers(self, tmp_path, key, value):
+        # Each value truncates to the written size, so int() would load it.
+        manifest_path = tmp_path / "bundle.json"
+        write_bundle(SubposteriorBundle(np.arange(8.0).reshape(1, 4, 2)), manifest_path)
+        raw = json.loads(manifest_path.read_text())
+        raw[key] = value
+        manifest_path.write_text(json.dumps(raw))
+        with pytest.raises(ParseError, match=re.escape(f"{key}={value!r}")):
             read_bundle(manifest_path)
 
     def test_samples_round_trip(self, tmp_path, bundle):
