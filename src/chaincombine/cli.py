@@ -213,6 +213,9 @@ def _write_density_pair(stem, index, full_samples, combined_samples):
 
 def run_harness(args):
     """Simulate, shard, sample shards and the full data, write everything."""
+    # First, so that a directory that cannot be made fails before sampling.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.model == "logistic":
         rows = simulate_logistic_data(args.n, LOGISTIC_BETA, seed=args.seed)
         truth = {"beta_true": list(LOGISTIC_BETA)}
@@ -223,8 +226,6 @@ def run_harness(args):
                       thin=args.thin)
     bundle, full_chain, rates = run_chains(args.model, rows, args.shards, config)
 
-    # write_bundle makes the output directory, so a failed run leaves none.
-    out_dir = Path(args.out_dir)
     manifest_path = out_dir / "bundle.json"
     write_bundle(bundle, manifest_path, seed=args.seed)
     full_path = out_dir / "full_chain.csv"

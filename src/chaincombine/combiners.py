@@ -159,15 +159,15 @@ def consensus_covariance(bundle):
     return _pool(bundle, spd_inverse(covs))
 
 
-def _log_weight(sum_z, sum_q, sum_f, k, c):
-    """Log weight ``(sum z)^2 . k - c sum|z|^2 - sum log_fit`` of a mixture
-    component, up to terms of the bandwidth alone that cancel in a ratio,
-    with ``k, c`` from :meth:`_DpeBasis.weight_terms`.  A loop, not
-    ``sum()``, whose rounding changed in Python 3.12."""
+def _log_ratio(sum_z, row_z, held_z, d_q, d_f, k, c):
+    """Change in the log weight ``(sum z)^2 . k - c sum|z|^2 - sum log_fit``
+    as one machine's ``z`` row goes ``held_z`` -> ``row_z`` and the other sums
+    move by ``d_q, d_f``.  A loop, not ``sum()``, whose rounding changed in 3.12."""
     kernel = 0.0
-    for z_i, k_i in zip(sum_z, k):
-        kernel += z_i * z_i * k_i
-    return kernel - c * sum_q - sum_f
+    for s_i, b_i, h_i, k_i in zip(sum_z, row_z, held_z, k):
+        dz = b_i - h_i
+        kernel += k_i * dz * (2.0 * s_i + dz)
+    return kernel - c * d_q - d_f
 
 
 def _bandwidth_scales(T, d, anneal):
@@ -225,7 +225,7 @@ class _DpeBasis:
         )
 
     def weight_terms(self, s):
-        """Coefficients ``(k, c)`` of :func:`_log_weight` at scale(s) ``s``.
+        """Coefficients ``(k, c)`` of :func:`_log_ratio` at scale(s) ``s``.
 
         The kernel term ``-(sum|z|^2 - |sum z|^2 / M) / (2 M s)`` plus the
         compatibility term ``-1/2 sum_i zbar_i^2 / (lam_i + s)`` equals
@@ -247,28 +247,21 @@ class _DpeBasis:
         index per machine and is updated in place.  Returns the (T, d)
         ``sum z`` after every step and the final running sums.
 
-        The loop runs on Python floats over rows gathered up front; at a
-        fixed scale the current weight changes only on accept.
+        Each step takes one :func:`_log_ratio`, on Python floats.
         """
         k, c = (a.tolist() for a in self.weight_terms(s))
-        fixed = bool((s == s[0]).all())
         tables, cols = (self.z, self.z_sq, self.log_fit), np.arange(self.M)
         held_z, held_q, held_f = (a[indices, cols].tolist() for a in tables)
         sum_z, sum_q, sum_f = self.sums(indices)
         sum_z, picks, history = sum_z.tolist(), indices.tolist(), []
-        cur_w = _log_weight(sum_z, sum_q, sum_f, k[0], c[0])
         steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c,
                     *(a[proposals, machines].tolist() for a in tables))
         for m, p, lu, k_t, c_t, z_p, q_p, f_p in steps:
-            if not fixed:
-                cur_w = _log_weight(sum_z, sum_q, sum_f, k_t, c_t)
-            prop_z = [a + (b - h) for a, b, h in zip(sum_z, z_p, held_z[m])]
-            prop_q = sum_q + (q_p - held_q[m])
-            prop_f = sum_f + (f_p - held_f[m])
-            prop_w = _log_weight(prop_z, prop_q, prop_f, k_t, c_t)
-            if lu < prop_w - cur_w:
+            z_h, d_q, d_f = held_z[m], q_p - held_q[m], f_p - held_f[m]
+            if lu < _log_ratio(sum_z, z_p, z_h, d_q, d_f, k_t, c_t):
+                sum_z = [a + (b - h) for a, b, h in zip(sum_z, z_p, z_h)]
+                sum_q, sum_f = sum_q + d_q, sum_f + d_f
                 picks[m], held_z[m], held_q[m], held_f[m] = p, z_p, q_p, f_p
-                sum_z, sum_q, sum_f, cur_w = prop_z, prop_q, prop_f, prop_w
             history.append(sum_z)
         indices[:] = picks
         return np.array(history), (np.array(sum_z), sum_q, sum_f)
@@ -297,13 +290,13 @@ def semiparametric_dpe(bundle, config=DpeConfig()):
     every machine's index before each emitted draw.  This sampler
     re-proposes one machine, chosen uniformly at random, per draw.
 
-    When annealing is on, the current and the proposed weight are both
-    formed at the iteration's bandwidth, so the acceptance ratio is
-    always taken at a single common bandwidth.  All random numbers are
-    drawn up front from ``default_rng(config.seed)``; the chain runs in
-    a rotated basis at O(d) cost per iteration, on Python floats over
-    proposal rows gathered before the loop (see :class:`_DpeBasis`),
-    and all T draws are emitted in one batched pass after it.
+    Annealed or fixed, each iteration's acceptance ratio is one O(d)
+    log-weight difference at that iteration's bandwidth, common to the
+    current and the proposed component.  All random numbers are drawn
+    up front from ``default_rng(config.seed)``; the chain runs in a
+    rotated basis on Python floats over proposal rows gathered before
+    the loop (see :class:`_DpeBasis`), and all T draws are emitted in
+    one batched pass after it.
 
     Parameters
     ----------

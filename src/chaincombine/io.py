@@ -31,21 +31,26 @@ WRITE_BLOCK_ROWS = 4096
 
 
 def write_matrix(path, matrix):
-    """Write a (T, d) matrix as headerless CSV with full float precision."""
+    """Write a (T, d) matrix as headerless CSV with full float precision;
+    an ``OSError`` names ``path``, also from a write or the close."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     row_format = ",".join([FLOAT_FORMAT] * matrix.shape[1]) + "\n"
-    with open(path, "w", encoding="latin1", newline="") as handle:
-        for start in range(0, matrix.shape[0], WRITE_BLOCK_ROWS):
-            block = matrix[start:start + WRITE_BLOCK_ROWS]
-            handle.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+    try:
+        with open(path, "w", encoding="latin1", newline="") as handle:
+            for start in range(0, matrix.shape[0], WRITE_BLOCK_ROWS):
+                block = matrix[start:start + WRITE_BLOCK_ROWS]
+                handle.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)  # a failed write has none
+        raise
 
 
 def read_matrix(path):
     """Read a headerless comma-separated matrix as a (T, d) float array.
 
-    Raises :class:`FileMissing` if no regular file is there and
-    :class:`ParseError` (naming file, line and column) when a field is
-    not a number or a row has the wrong width, or when no line holds data.
+    Raises :class:`FileMissing` if no regular file is there, :class:`ParseError`
+    (naming file, line and column) on a field that is not a number, a ragged
+    row or no data, and :class:`NonFiniteValue` (naming the file) on NaN or inf.
     """
     path = Path(path)
     if not path.is_file():
@@ -54,10 +59,12 @@ def read_matrix(path):
         with warnings.catch_warnings():
             # numpy warns, and returns a 0 x 1 array, on a file without data.
             warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(path, delimiter=",", ndmin=2)
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
     except (ValueError, UserWarning):
         _diagnose_matrix(path)
         raise  # unreachable unless the file changed under us
+    _check_finite(matrix.T, f"{path}: ")
+    return matrix
 
 
 def _diagnose_matrix(path):
@@ -167,6 +174,4 @@ def write_samples(path, combined):
 
 def read_samples(path):
     """Read a combined-samples file back as a finite (d, T) array."""
-    samples = read_matrix(path).T
-    _check_finite(samples, f"{path}: ")
-    return samples
+    return read_matrix(path).T

@@ -308,28 +308,39 @@ class TestHarnessCommand:
         assert len(lines) == 3  # header + one row per parameter
 
 
-@pytest.mark.parametrize("blocker", ["regular-file", "read-only-dir"])
+@pytest.mark.parametrize("blocker", ["regular-file", "read-only-dir", "dev-full"])
 @pytest.mark.parametrize("command", ["harness", "combine"])
 def test_unwritable_output_path_is_validation_error(tmp_path, bundle_manifest, capsys,
-                                                    command, blocker):
+                                                    monkeypatch, command, blocker):
     # Exit 2 with an error that names the path, not an OSError traceback.
-    parent = tmp_path / "blocker"
-    if blocker == "regular-file":
-        parent.write_text("")
+    # /dev/full opens but fails the write, which names no file by itself.
+    if blocker == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        out_dir = out_file = "/dev/full"
     else:
-        parent.mkdir(mode=0o500)
-        if os.access(parent, os.W_OK):
-            pytest.skip("this user can write to read-only directories")
-    target = parent / "x"
+        parent = tmp_path / "blocker"
+        if blocker == "regular-file":
+            parent.write_text("")
+        else:
+            parent.mkdir(mode=0o500)
+            if os.access(parent, os.W_OK):
+                pytest.skip("this user can write to read-only directories")
+        out_dir, out_file = str(parent / "x"), str(parent / "x.csv")
+
+    def sample(*args):
+        pytest.fail("harness sampled before it made its output directory")
+
+    monkeypatch.setattr("chaincombine.cli.run_chains", sample)
     argv = {
         "harness": ["harness", "--model", "gamma", "--n", "60", "--shards", "2", "--iters", "20",
-                    "--burnin", "5", "--out-dir", str(target)],
+                    "--burnin", "5", "--out-dir", out_dir],
         "combine": ["combine", "--method", "semiparam-dpe", "--bundle", str(bundle_manifest),
-                    "--out", f"{target}.csv"],
+                    "--out", out_file],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(target) in err
+    assert err.startswith("error: ") and {"harness": out_dir, "combine": out_file}[command] in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,7 @@ from chaincombine import (
     semiparametric_dpe,
 )
 from chaincombine.cli import main
-from chaincombine.combiners import _bandwidth_scales, _DpeBasis, _log_weight
+from chaincombine.combiners import _bandwidth_scales, _DpeBasis, _log_ratio
 from chaincombine.harness import gaussian_product_oracle
 from chaincombine.io import write_bundle
 
@@ -220,9 +220,9 @@ class TestEigenbasisAgainstDense:
             for _ in range(5):
                 other = rng.integers(0, T, size=M)
                 want = log_weight(other, h**2) - log_weight(base, h**2)
-                got = _log_weight(*basis.sums(other), k, c) - _log_weight(
-                    *basis.sums(base), k, c
-                )
+                # The whole move from base to other, taken as one row change.
+                (z_b, q_b, f_b), (z_o, q_o, f_o) = basis.sums(base), basis.sums(other)
+                got = _log_ratio(z_b, z_o, z_b, q_o - q_b, f_o - f_b, k, c)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
 
                 # The emission is affine in the normals: zero noise gives the
@@ -241,6 +241,26 @@ class TestEigenbasisAgainstDense:
                 np.testing.assert_allclose(
                     root @ root.T, want_cov, rtol=1e-10, atol=1e-10 * np.abs(want_cov).max()
                 )
+
+    @pytest.mark.parametrize("anneal", [True, False], ids=["anneal", "fixed"])
+    def test_step_accepts_just_below_dense_ratio(self, anneal):
+        # One run_chain step that moves one machine, with log u 1e-9 below and
+        # then 1e-9 above the dense log-weight difference: accept, then reject.
+        rng = np.random.default_rng(11)
+        d, T, M = 3, 60, 4
+        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bandw = np.array([0.02, 0.05, 0.1])
+        basis = _DpeBasis(bundle, bandw)
+        log_weight, _ = dense_reference(bundle)
+        s = _bandwidth_scales(60, d, anneal)[-1:]
+        base = rng.integers(0, T, size=M)
+        other = base.copy()
+        other[2] = (base[2] + 1) % T
+        want = log_weight(other, s * bandw**2) - log_weight(base, s * bandw**2)
+        for offset, moved in ((-1e-9, True), (1e-9, False)):
+            indices = base.copy()
+            basis.run_chain(s, indices, np.array([2]), other[2:3], np.array([want + offset]))
+            np.testing.assert_array_equal(indices, other if moved else base)
 
 
 def run_index_chain(bundle, anneal, seed):
@@ -390,13 +410,12 @@ class TestAcceptanceRatio:
         bundle, _, _ = gaussian_bundle(rng, 2, 100, 3)
         basis = _DpeBasis(bundle, np.ones(2))
         k, c = basis.weight_terms(1.0)
-        states = [basis.sums(np.array(idx)) for idx in ([0, 1, 2], [3, 1, 2])]
+        (z_0, q_0, f_0), (z_1, q_1, f_1) = (
+            basis.sums(np.array(idx)) for idx in ([0, 1, 2], [3, 1, 2])
+        )
         baseline = 123.456
-        deltas = []
-        for shift in (0.0, baseline):
-            weights = [
-                _log_weight(sum_z, sum_q, sum_f + shift, k, c)
-                for sum_z, sum_q, sum_f in states
-            ]
-            deltas.append(weights[1] - weights[0])
+        deltas = [
+            _log_ratio(z_0, z_1, z_0, q_1 - q_0, (f_1 + shift) - (f_0 + shift), k, c)
+            for shift in (0.0, baseline)
+        ]
         np.testing.assert_allclose(deltas[0], deltas[1], atol=1e-9)

@@ -178,24 +178,27 @@ bad_tokens = st.text(string.ascii_letters + string.digits + "+-.", min_size=1).f
 @st.composite
 def malformed_bundles(draw):
     """A valid bundle's files as (manifest dict, machine file texts), then
-    one fault put into them; returns the faulty pair."""
+    one fault put into them; returns the faulty pair and, for a non-finite
+    value, the name of the machine file that holds it (else None)."""
     d, T, M = draw(st.integers(1, 3)), draw(st.integers(2, 6)), draw(st.integers(1, 3))
     seed = draw(seeds)
     values = np.random.default_rng(seed).standard_normal((d, T, M))
     texts = [
-        "".join(",".join(repr(v) for v in row) + "\n" for row in values[:, :, m].T)
+        "".join(",".join(repr(v) for v in row) + "\n" for row in values[:, :, m].T.tolist())
         for m in range(M)
     ]
     manifest = {"d": d, "T": T, "M": M,
                 "machine_files": [f"machine_{m + 1}.csv" for m in range(M)]}
     fault = draw(st.sampled_from(["token", "ragged", "empty", "missing-key", "wrong-M",
-                                  "nonpositive-dim"]))
+                                  "nonpositive-dim", "non-finite"]))
     m = draw(st.integers(0, M - 1))
     lines = texts[m].splitlines()
     t = draw(st.integers(0, T - 1))
     fields = lines[t].split(",")
     if fault == "token":
         fields[draw(st.integers(0, d - 1))] = draw(bad_tokens)
+    elif fault == "non-finite":
+        fields[draw(st.integers(0, d - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
     elif fault == "ragged":
         fields = fields[:-1] if d > 1 and draw(st.booleans()) else fields + ["0.5"]
     lines[t] = ",".join(fields)
@@ -208,7 +211,7 @@ def malformed_bundles(draw):
         manifest["M"] = draw(st.integers(0, M + 2).filter(lambda k: k != M))
     elif fault == "nonpositive-dim":
         manifest[draw(st.sampled_from(["d", "T"]))] = draw(st.integers(-3, 0))
-    return manifest, texts
+    return manifest, texts, f"machine_{m + 1}.csv" if fault == "non-finite" else None
 
 
 @settings(deadline=None, max_examples=60)
@@ -216,7 +219,7 @@ def malformed_bundles(draw):
 def test_malformed_bundle_files_exit_2(case, method):
     # Bad input is a data error, exit 2: never a success (0), and never a
     # traceback or a warning escaping (1).
-    manifest, texts = case
+    manifest, texts, named = case
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)
         (root / "bundle.json").write_text(json.dumps(manifest))
@@ -229,3 +232,5 @@ def test_malformed_bundle_files_exit_2(case, method):
                          "--out", str(root / "out.csv")])
     assert code == 2, stderr.getvalue()
     assert stderr.getvalue().startswith("error: ")
+    if named:
+        assert named in stderr.getvalue(), stderr.getvalue()
