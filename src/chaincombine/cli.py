@@ -69,6 +69,14 @@ def _number(kind, low, strict=False):
     return parse
 
 
+def _reals(text):
+    """An argparse ``type=``: comma-separated reals, no field empty."""
+    try:
+        return [float(field) for field in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated reals, got {text!r}") from None
+
+
 def build_parser():
     parser = _Parser(
         prog="chaincombine",
@@ -91,6 +99,7 @@ def build_parser():
     combine.add_argument("--seed", type=_number(int, 0), default=0)
     combine.add_argument(
         "--bandw",
+        type=_reals,
         default="1",
         help="comma-separated starting bandwidths (semiparam-dpe only; default 1 for all)",
     )
@@ -156,8 +165,7 @@ def run_combine(args):
     if args.shuff:
         bundle = shuffle_within_machines(bundle, args.seed)
     if args.method == "semiparam-dpe":
-        bandw = _parse_bandwidths(args.bandw)
-        config = DpeConfig(bandw=bandw, anneal=not args.no_anneal, seed=args.seed)
+        config = DpeConfig(bandw=args.bandw, anneal=not args.no_anneal, seed=args.seed)
         combined = semiparametric_dpe(bundle, config)
         if args.discard:
             if args.discard >= combined.T:
@@ -176,13 +184,6 @@ def run_combine(args):
         combined = combine(bundle)
     write_samples(args.out, combined)
     return EXIT_OK
-
-
-def _parse_bandwidths(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise DimensionMismatch(f"--bandw must be comma-separated reals, got {text!r}")
 
 
 def run_metric(args):

@@ -14,15 +14,6 @@ import numpy as np
 from .core import CombinedSamples
 from .errors import DegenerateChain, NonPositiveBandwidth, SingularCovariance
 
-__all__ = [
-    "DpeConfig",
-    "machine_moments",
-    "sample_average",
-    "consensus_independent",
-    "consensus_covariance",
-    "semiparametric_dpe",
-]
-
 # Relative eigenvalue floor applied before inverting an estimated covariance.
 EIG_FLOOR = 1e-10
 
@@ -188,7 +179,8 @@ class _DpeBasis:
     ``Sigma*^-1 + D^-1 / s_t`` then both diagonalize in the eigenbasis
     ``U, lam`` of ``D^-1/2 Sigma* D^-1/2``, so one eigendecomposition
     serves the whole chain.  Draw ``x`` of machine ``m`` is stored as
-    ``z = U^T D^-1/2 (x - mu*)``, beside its ``|z|^2`` and fit log density.
+    ``z = U^T D^-1/2 (x - mu*)``, beside its ``|z|^2`` and fit log density:
+    the three tables whose row changes :meth:`run_chain` reads.
     """
 
     def __init__(self, bundle, bandw):
@@ -214,16 +206,6 @@ class _DpeBasis:
         resid = bundle.values - means.T[:, None, :]
         self.log_fit = -0.5 * np.einsum("dtm,mde,etm->tm", resid, precisions, resid)
 
-    def sums(self, indices):
-        """Running sums ``(sum z, sum |z|^2, sum log_fit)`` of the draws
-        that ``indices`` (one per machine) select."""
-        cols = np.arange(self.M)
-        return (
-            self.z[indices, cols].sum(axis=0),
-            float(self.z_sq[indices, cols].sum()),
-            float(self.log_fit[indices, cols].sum()),
-        )
-
     def weight_terms(self, s):
         """Coefficients ``(k, c)`` of :func:`_log_ratio` at scale(s) ``s``.
 
@@ -238,33 +220,31 @@ class _DpeBasis:
         k = self.eigval / (2.0 * self.M**2 * s * (self.eigval + s))
         return k, c
 
-    def run_chain(self, s, indices, machines, proposals, log_u):
-        """Walk the mixture-component index chain.
+    def run_chain(self, s, start, machines, proposals, log_u):
+        """Walk the mixture-component index chain from the index per
+        machine in ``start``, which it leaves untouched.
 
         Step t re-proposes the index of machine ``machines[t]`` as
         ``proposals[t]`` and accepts when ``log_u[t]`` lies below the log
-        weight ratio at scale ``s[t]``.  ``indices`` holds the starting
-        index per machine and is updated in place.  Returns the (T, d)
-        ``sum z`` after every step and the final running sums.
+        weight ratio at scale ``s[t]``.  Returns new arrays ``(history,
+        indices)``: the (T, d) ``sum z`` after every step, final indices.
 
-        Each step takes one :func:`_log_ratio`, on Python floats.
+        Each step takes one :func:`_log_ratio` on Python floats, from the
+        running ``sum z`` and each machine's selected rows, all it keeps.
         """
         k, c = (a.tolist() for a in self.weight_terms(s))
         tables, cols = (self.z, self.z_sq, self.log_fit), np.arange(self.M)
-        held_z, held_q, held_f = (a[indices, cols].tolist() for a in tables)
-        sum_z, sum_q, sum_f = self.sums(indices)
-        sum_z, picks, history = sum_z.tolist(), indices.tolist(), []
+        held_z, held_q, held_f = (a[start, cols].tolist() for a in tables)
+        sum_z, picks, history = self.z[start, cols].sum(axis=0).tolist(), start.tolist(), []
         steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c,
                     *(a[proposals, machines].tolist() for a in tables))
         for m, p, lu, k_t, c_t, z_p, q_p, f_p in steps:
             z_h, d_q, d_f = held_z[m], q_p - held_q[m], f_p - held_f[m]
             if lu < _log_ratio(sum_z, z_p, z_h, d_q, d_f, k_t, c_t):
                 sum_z = [a + (b - h) for a, b, h in zip(sum_z, z_p, z_h)]
-                sum_q, sum_f = sum_q + d_q, sum_f + d_f
                 picks[m], held_z[m], held_q[m], held_f[m] = p, z_p, q_p, f_p
             history.append(sum_z)
-        indices[:] = picks
-        return np.array(history), (np.array(sum_z), sum_q, sum_f)
+        return np.array(history), np.array(picks)
 
     def emit(self, zbar, s, normals):
         """One output draw per row: ``mu* + D^1/2 U [lam / (lam + s) zbar
@@ -308,11 +288,11 @@ def semiparametric_dpe(bundle, config=DpeConfig()):
     d, T, M = bundle.d, bundle.T, bundle.M
     basis = _DpeBasis(bundle, config.resolved_bandwidths(d))
     rng = np.random.default_rng(config.seed)
-    indices = rng.integers(0, T, size=M)
+    start = rng.integers(0, T, size=M)
     machines = rng.integers(0, M, size=T)
     proposals = rng.integers(0, T, size=T)
     log_u = np.log(rng.uniform(size=T))
     normals = rng.standard_normal((T, d))
     s = _bandwidth_scales(T, d, config.anneal)
-    sum_z, _ = basis.run_chain(s, indices, machines, proposals, log_u)
+    sum_z, _ = basis.run_chain(s, start, machines, proposals, log_u)
     return CombinedSamples(basis.emit(sum_z / M, s, normals))

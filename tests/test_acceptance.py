@@ -18,7 +18,6 @@ from chaincombine import (
     SubposteriorBundle,
     consensus_covariance,
     consensus_independent,
-    gaussian_product_oracle,
     partition_rows,
     relative_l2_distance,
     run_chains,
@@ -32,7 +31,7 @@ from chaincombine import (
 from chaincombine.cli import main
 from chaincombine.combiners import _bandwidth_scales
 
-from conftest import criterion_report
+from conftest import criterion_report, gaussian_subposteriors
 
 BETA_TRUE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
 
@@ -40,28 +39,6 @@ BETA_TRUE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
 # T retained draws are near-independent; the distance bands below assume
 # draw quality comparable to the reference setup they were scaled from.
 THIN = 10
-
-
-def gaussian_subposteriors(rng, d, T, M, scale=0.005, diagonal=False):
-    """Machines that mimic subposteriors of one tight posterior: machine
-    covariance ~ M * scale^2 * base, machine means scattered by ~0.3 of
-    the machine spread.  Returns (bundle, exact product mean/cov)."""
-    means, covs, draws = [], [], []
-    for _ in range(M):
-        if diagonal:
-            base = np.diag(rng.uniform(0.7, 1.3, size=d))
-        else:
-            a = rng.standard_normal((d, d))
-            base = a @ a.T / d + np.eye(d)
-        cov = (scale**2) * M * base
-        mean = rng.normal(0.0, 0.3 * scale * np.sqrt(M), size=d)
-        chol = np.linalg.cholesky(cov)
-        draws.append(mean[:, None] + chol @ rng.standard_normal((d, T)))
-        means.append(mean)
-        covs.append(cov)
-    bundle = SubposteriorBundle(np.stack(draws, axis=2))
-    mean_star, cov_star = gaussian_product_oracle(means, covs)
-    return bundle, mean_star, cov_star
 
 
 def batch_mcse(chain, n_batches=50):
@@ -86,7 +63,7 @@ def test_criterion_1_gaussian_oracle_equivalence():
         d, T, M = 3, 20000, 5
 
         rng = np.random.default_rng(101)
-        bundle, mean_star, cov_star = gaussian_subposteriors(rng, d, T, M)
+        bundle, mean_star, cov_star = gaussian_subposteriors(rng, d, T, M, scale=0.005)
         out = consensus_covariance(bundle)
         se = np.sqrt(np.diag(cov_star) / T)
         assert np.all(np.abs(out.values.mean(axis=1) - mean_star) < 3.0 * se)
@@ -94,7 +71,9 @@ def test_criterion_1_gaussian_oracle_equivalence():
         assert cov_err / np.linalg.norm(cov_star) < 0.10
 
         rng = np.random.default_rng(102)
-        bundle, mean_star, cov_star = gaussian_subposteriors(rng, d, T, M, diagonal=True)
+        bundle, mean_star, cov_star = gaussian_subposteriors(
+            rng, d, T, M, scale=0.005, diagonal=True
+        )
         out = consensus_independent(bundle)
         se = np.sqrt(np.diag(cov_star) / T)
         assert np.all(np.abs(out.values.mean(axis=1) - mean_star) < 3.0 * se)
@@ -109,7 +88,7 @@ def test_criterion_2_dpe_on_gaussians():
         start = time.time()
         d, T, M = 3, 20000, 5
         rng = np.random.default_rng(103)
-        bundle, mean_star, cov_star = gaussian_subposteriors(rng, d, T, M)
+        bundle, mean_star, cov_star = gaussian_subposteriors(rng, d, T, M, scale=0.005)
         out = semiparametric_dpe(bundle, DpeConfig(seed=103))
 
         # The output is an MCMC chain: its mean's standard error combines

@@ -356,6 +356,8 @@ def test_unwritable_output_path_is_validation_error(tmp_path, bundle_manifest, c
     ["combine", "--seed", "-1"],
     ["combine", "--shuff", "--seed", "-1"],
     ["combine", "--discard", "-1"],
+    ["combine", "--bandw", "abc"],
+    ["combine", "--bandw", ","],
 ], ids=" ".join)
 def test_bad_argument_value_is_usage_error(tmp_path, bundle_manifest, capsys, argv):
     # The parser rejects each value: exit 1 with a usage line, never a

@@ -3,7 +3,7 @@
 ``reference_run_chain`` is the index chain in its earlier numpy-array
 form, one weight per ``@`` on length-d arrays.
 ``TestBitwiseAgainstReference`` holds ``_DpeBasis.run_chain`` to it bit
-for bit: same history, same final sums, same indices.
+for bit: same history, same final indices.
 """
 
 import itertools
@@ -21,27 +21,9 @@ from chaincombine import (
 )
 from chaincombine.cli import main
 from chaincombine.combiners import _bandwidth_scales, _DpeBasis, _log_ratio
-from chaincombine.harness import gaussian_product_oracle
 from chaincombine.io import write_bundle
 
-
-def gaussian_bundle(rng, d, T, M, scale=0.01):
-    """Machines that look like subposteriors of one tight Gaussian posterior:
-    per-machine covariance ~ M * scale^2, machine means scattered by a
-    fraction of the machine spread.  Returns (bundle, oracle mean, oracle cov).
-    """
-    means, covs, draws = [], [], []
-    for _ in range(M):
-        a = rng.standard_normal((d, d))
-        cov = (scale**2) * M * (a @ a.T / d + np.eye(d))
-        mean = rng.normal(0.0, 0.3 * scale * np.sqrt(M), size=d)
-        chol = np.linalg.cholesky(cov)
-        draws.append(mean[:, None] + chol @ rng.standard_normal((d, T)))
-        means.append(mean)
-        covs.append(cov)
-    bundle = SubposteriorBundle(np.stack(draws, axis=2))
-    mean_star, cov_star = gaussian_product_oracle(means, covs)
-    return bundle, mean_star, cov_star
+from conftest import gaussian_subposteriors
 
 
 def scheduled_bandwidths(step, d, bandw, anneal=True):
@@ -95,14 +77,14 @@ class TestConfig:
 class TestSampler:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
-        bundle, _, _ = gaussian_bundle(rng, 2, 300, 3)
+        bundle, _, _ = gaussian_subposteriors(rng, 2, 300, 3, scale=0.01)
         a = semiparametric_dpe(bundle, DpeConfig(seed=5))
         b = semiparametric_dpe(bundle, DpeConfig(seed=5))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_output_shape_matches_input(self):
         rng = np.random.default_rng(1)
-        bundle, _, _ = gaussian_bundle(rng, 2, 250, 4)
+        bundle, _, _ = gaussian_subposteriors(rng, 2, 250, 4, scale=0.01)
         out = semiparametric_dpe(bundle, DpeConfig(seed=2))
         assert out.values.shape == (2, 250)
         assert np.isfinite(out.values).all()
@@ -147,13 +129,24 @@ class TestSampler:
         # standard errors, covariance within 15% Frobenius.
         rng = np.random.default_rng(3)
         T = 4000
-        bundle, mean_star, cov_star = gaussian_bundle(rng, 3, T, 5, scale=0.005)
+        bundle, mean_star, cov_star = gaussian_subposteriors(rng, 3, T, 5, scale=0.005)
         out = semiparametric_dpe(bundle, DpeConfig(seed=4))
         se = np.sqrt(2.0 * np.diag(cov_star) / T)
         assert np.all(np.abs(out.values.mean(axis=1) - mean_star) < 5.0 * se)
         sample_cov = np.cov(out.values, ddof=1)
         rel = np.linalg.norm(sample_cov - cov_star) / np.linalg.norm(cov_star)
         assert rel < 0.15
+
+
+def selected_sums(basis, indices):
+    """``(sum z, sum |z|^2, sum log_fit)`` over the draws that ``indices``
+    (one per machine) select, recomputed from the basis tables."""
+    cols = np.arange(basis.M)
+    return (
+        basis.z[indices, cols].sum(axis=0),
+        float(basis.z_sq[indices, cols].sum()),
+        float(basis.log_fit[indices, cols].sum()),
+    )
 
 
 def dense_reference(bundle):
@@ -207,7 +200,7 @@ class TestEigenbasisAgainstDense:
     def test_log_weight_differences_and_components(self, anneal):
         rng = np.random.default_rng(9)
         d, T, M = 3, 60, 4
-        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bundle, _, _ = gaussian_subposteriors(rng, d, T, M, scale=0.01)
         bandw = np.array([0.02, 0.05, 0.1])
         basis = _DpeBasis(bundle, bandw)
         log_weight, component = dense_reference(bundle)
@@ -221,13 +214,15 @@ class TestEigenbasisAgainstDense:
                 other = rng.integers(0, T, size=M)
                 want = log_weight(other, h**2) - log_weight(base, h**2)
                 # The whole move from base to other, taken as one row change.
-                (z_b, q_b, f_b), (z_o, q_o, f_o) = basis.sums(base), basis.sums(other)
+                (z_b, q_b, f_b), (z_o, q_o, f_o) = (
+                    selected_sums(basis, base), selected_sums(basis, other)
+                )
                 got = _log_ratio(z_b, z_o, z_b, q_o - q_b, f_o - f_b, k, c)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
 
                 # The emission is affine in the normals: zero noise gives the
                 # component mean, unit normals give columns of a covariance root.
-                zbar = basis.sums(other)[0] / M
+                zbar = selected_sums(basis, other)[0] / M
                 rows = basis.emit(
                     np.tile(zbar, (d + 1, 1)),
                     np.repeat(s, d + 1),
@@ -248,7 +243,7 @@ class TestEigenbasisAgainstDense:
         # then 1e-9 above the dense log-weight difference: accept, then reject.
         rng = np.random.default_rng(11)
         d, T, M = 3, 60, 4
-        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bundle, _, _ = gaussian_subposteriors(rng, d, T, M, scale=0.01)
         bandw = np.array([0.02, 0.05, 0.1])
         basis = _DpeBasis(bundle, bandw)
         log_weight, _ = dense_reference(bundle)
@@ -258,8 +253,9 @@ class TestEigenbasisAgainstDense:
         other[2] = (base[2] + 1) % T
         want = log_weight(other, s * bandw**2) - log_weight(base, s * bandw**2)
         for offset, moved in ((-1e-9, True), (1e-9, False)):
-            indices = base.copy()
-            basis.run_chain(s, indices, np.array([2]), other[2:3], np.array([want + offset]))
+            _, indices = basis.run_chain(
+                s, base, np.array([2]), other[2:3], np.array([want + offset])
+            )
             np.testing.assert_array_equal(indices, other if moved else base)
 
 
@@ -268,21 +264,22 @@ def run_index_chain(bundle, anneal, seed):
     d, T, M = bundle.d, bundle.T, bundle.M
     basis = _DpeBasis(bundle, np.ones(d))
     rng = np.random.default_rng(seed)
-    indices = rng.integers(0, T, size=M)
+    start = rng.integers(0, T, size=M)
     s = _bandwidth_scales(T, d, anneal)
-    history, final = basis.run_chain(
+    history, indices = basis.run_chain(
         s,
-        indices,
+        start,
         rng.integers(0, M, size=T),
         rng.integers(0, T, size=T),
         np.log(rng.uniform(size=T)),
     )
-    return basis, indices, history, final
+    return basis, indices, history
 
 
 def reference_run_chain(basis, s, indices, machines, proposals, log_u):
     """``_DpeBasis.run_chain`` as it ran on numpy arrays: each step indexes
-    the (T, M, d) draws and takes both weights with a length-d ``@``."""
+    the (T, M, d) draws and takes both weights with a length-d ``@``.
+    Returns the ``sum z`` history and moves ``indices`` in place."""
     z, z_sq, log_fit = basis.z, basis.z_sq, basis.log_fit
 
     def log_weight(sums, k, c):
@@ -290,7 +287,7 @@ def reference_run_chain(basis, s, indices, machines, proposals, log_u):
         return (sum_z * sum_z) @ k - c * sum_q - sum_f
 
     k, c = basis.weight_terms(s)
-    cur = basis.sums(indices)
+    cur = selected_sums(basis, indices)
     history = np.empty((len(s), z.shape[2]))
     steps = zip(machines.tolist(), proposals.tolist(), log_u.tolist(), k, c.tolist())
     for t, (m, p, lu, k_t, c_t) in enumerate(steps):
@@ -304,7 +301,7 @@ def reference_run_chain(basis, s, indices, machines, proposals, log_u):
             indices[m] = p
             cur = prop
         history[t] = cur[0]
-    return history, cur
+    return history
 
 
 class TestBitwiseAgainstReference:
@@ -314,43 +311,39 @@ class TestBitwiseAgainstReference:
     def test_chain_equals_reference(self, d, anneal, bandw):
         rng = np.random.default_rng(100 + d)
         T, M = 600, 4
-        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bundle, _, _ = gaussian_subposteriors(rng, d, T, M, scale=0.01)
         basis = _DpeBasis(bundle, np.full(d, bandw))
         s = _bandwidth_scales(T, d, anneal)
         start = rng.integers(0, T, size=M)
         steps = (rng.integers(0, M, size=T), rng.integers(0, T, size=T),
                  np.log(rng.uniform(size=T)))
-        indices, ref_indices = start.copy(), start.copy()
-        history, final = basis.run_chain(s, indices, *steps)
-        ref_history, ref_final = reference_run_chain(basis, s, ref_indices, *steps)
+        kept, ref_indices = start.copy(), start.copy()
+        history, indices = basis.run_chain(s, start, *steps)
+        ref_history = reference_run_chain(basis, s, ref_indices, *steps)
         np.testing.assert_array_equal(history, ref_history)
-        np.testing.assert_array_equal(final[0], ref_final[0])
-        assert (final[1], final[2]) == (ref_final[1], ref_final[2])
         np.testing.assert_array_equal(indices, ref_indices)
+        np.testing.assert_array_equal(start, kept)
         # The chain both moved and stayed: each branch of the step ran.
         assert 1 < len(np.unique(history, axis=0)) < T
 
 
 class TestChainState:
     def check_running_sums(self, bundle, anneal, seed):
-        basis, indices, history, final = run_index_chain(bundle, anneal, seed)
-        sum_z, sum_q, sum_f = basis.sums(indices)
+        basis, indices, history = run_index_chain(bundle, anneal, seed)
+        sum_z = selected_sums(basis, indices)[0]
         spread = np.abs(basis.z).max()
-        np.testing.assert_allclose(final[0], sum_z, rtol=0, atol=1e-12 * spread)
-        np.testing.assert_allclose(history[-1], final[0], rtol=0, atol=0)
-        np.testing.assert_allclose(final[1], sum_q, rtol=1e-12)
-        np.testing.assert_allclose(final[2], sum_f, rtol=1e-12)
+        np.testing.assert_allclose(history[-1], sum_z, rtol=0, atol=1e-12 * spread)
         # The chain moved: a frozen chain would pass the checks trivially.
         assert len(np.unique(history, axis=0)) > bundle.T // 10
 
     def test_incremental_state_matches_recomputation(self):
         rng = np.random.default_rng(4)
-        bundle, _, _ = gaussian_bundle(rng, 2, 400, 4)
+        bundle, _, _ = gaussian_subposteriors(rng, 2, 400, 4, scale=0.01)
         self.check_running_sums(bundle, anneal=True, seed=6)
 
     def test_fixed_bandwidth_state_recomputes_too(self):
         rng = np.random.default_rng(6)
-        bundle, _, _ = gaussian_bundle(rng, 2, 300, 3)
+        bundle, _, _ = gaussian_subposteriors(rng, 2, 300, 3, scale=0.01)
         self.check_running_sums(bundle, anneal=False, seed=8)
 
     def test_visit_frequencies_match_mixture_weights(self):
@@ -360,7 +353,7 @@ class TestChainState:
         # at wide bandwidths cannot see.
         rng = np.random.default_rng(10)
         d, T, M = 2, 4, 3
-        bundle, _, _ = gaussian_bundle(rng, d, T, M)
+        bundle, _, _ = gaussian_subposteriors(rng, d, T, M, scale=0.01)
         bandw = np.full(d, 0.02)
         basis = _DpeBasis(bundle, bandw)
         log_weight, _ = dense_reference(bundle)
@@ -377,7 +370,7 @@ class TestChainState:
             rng.integers(0, T, size=n),
             np.log(rng.uniform(size=n)),
         )
-        sums = np.array([basis.sums(c)[0] for c in components])
+        sums = np.array([selected_sums(basis, c)[0] for c in components])
         visited = np.argmin(((history[:, None, :] - sums) ** 2).sum(axis=2), axis=1)
         freq = np.bincount(visited, minlength=len(components)) / n
         assert 0.5 * np.abs(freq - weights).sum() < 0.06
@@ -386,9 +379,9 @@ class TestChainState:
         # The rotated basis maps back: mu* + D^1/2 U zbar is the mean of the
         # selected draws in the original coordinates.
         rng = np.random.default_rng(5)
-        bundle, _, _ = gaussian_bundle(rng, 3, 200, 5)
-        basis, indices, _, final = run_index_chain(bundle, anneal=True, seed=7)
-        theta_bar = basis.mean + basis.scale * (basis.eigvec @ final[0] / bundle.M)
+        bundle, _, _ = gaussian_subposteriors(rng, 3, 200, 5, scale=0.01)
+        basis, indices, history = run_index_chain(bundle, anneal=True, seed=7)
+        theta_bar = basis.mean + basis.scale * (basis.eigvec @ history[-1] / bundle.M)
         selected = bundle.values[:, indices, np.arange(bundle.M)]
         np.testing.assert_allclose(theta_bar, selected.mean(axis=1), rtol=1e-12)
 
@@ -407,11 +400,11 @@ class TestAcceptanceRatio:
 
     def test_denominator_baseline_shift_cancels_in_ratio(self):
         rng = np.random.default_rng(8)
-        bundle, _, _ = gaussian_bundle(rng, 2, 100, 3)
+        bundle, _, _ = gaussian_subposteriors(rng, 2, 100, 3, scale=0.01)
         basis = _DpeBasis(bundle, np.ones(2))
         k, c = basis.weight_terms(1.0)
         (z_0, q_0, f_0), (z_1, q_1, f_1) = (
-            basis.sums(np.array(idx)) for idx in ([0, 1, 2], [3, 1, 2])
+            selected_sums(basis, np.array(idx)) for idx in ([0, 1, 2], [3, 1, 2])
         )
         baseline = 123.456
         deltas = [
