@@ -195,13 +195,14 @@ def run_metric(args):
             f"parameter count mismatch: full has {full.shape[0]}, "
             f"combined has {combined.shape[0]}"
         )
-    # Every distance first, so that a failing parameter leaves stdout empty.
+    # Every distance and density file first, so that a failure leaves stdout empty.
     distances = [relative_l2_distance(full[i], combined[i]) for i in range(full.shape[0])]
+    if args.density_out:
+        for i in range(full.shape[0]):
+            _write_density_pair(args.density_out, i, full[i], combined[i])
     print("parameter,relative_l2")
     for i, distance in enumerate(distances):
         print(f"{i + 1},{distance:.6f}")
-        if args.density_out:
-            _write_density_pair(args.density_out, i, full[i], combined[i])
     return EXIT_OK
 
 

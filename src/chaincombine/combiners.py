@@ -79,21 +79,22 @@ def machine_moments(bundle):
     """Every machine's Gaussian fit: (M, d) sample means and (M, d, d)
     unbiased sample covariances, from one pass over the (d, T, M) array.
 
-    A component that ``bundle.zero_variance`` flags takes its first draw
-    as its mean, so its variance and covariances come out exactly zero
-    rather than at the rounding error of a computed mean.
+    A component whose draws are all equal takes its first draw as its
+    mean, so its variance and covariances come out exactly zero rather
+    than at the rounding error of a computed mean.
     """
     if bundle.T < 2:
         raise DegenerateChain("covariance estimation needs at least 2 draws")
     values = bundle.values
-    means = np.where(bundle.zero_variance, values[:, 0, :].T, values.mean(axis=1).T)
+    constant = (values == values[:, :1, :]).all(axis=1).T
+    means = np.where(constant, values[:, 0, :].T, values.mean(axis=1).T)
     dev = values - means.T[:, None, :]
     covs = np.einsum("itm,jtm->mij", dev, dev) / (bundle.T - 1)
     return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
 
 
-def _require_positive_variances(bundle):
-    mask = bundle.zero_variance
+def _require_positive_variances(covs):
+    mask = np.diagonal(covs, axis1=1, axis2=2) <= 0.0
     if mask.any():
         m, i = np.argwhere(mask)[0]
         raise DegenerateChain(
@@ -131,7 +132,7 @@ def consensus_independent(bundle):
     if bundle.M == 1:
         return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
-    _require_positive_variances(bundle)
+    _require_positive_variances(covs)
     variances = np.diagonal(covs, axis1=1, axis2=2)  # (M, d)
     return _pool(bundle, np.eye(bundle.d) / variances[:, :, None])
 
@@ -146,7 +147,7 @@ def consensus_covariance(bundle):
     if bundle.M == 1:
         return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
-    _require_positive_variances(bundle)
+    _require_positive_variances(covs)
     return _pool(bundle, spd_inverse(covs))
 
 
@@ -185,8 +186,9 @@ class _DpeBasis:
 
     def __init__(self, bundle, bandw):
         means, covs = machine_moments(bundle)
+        # Invert first, so a wholly constant machine is a SingularCovariance.
         precisions = spd_inverse(covs)
-        _require_positive_variances(bundle)
+        _require_positive_variances(covs)
         pooled_cov = spd_inverse(precisions.sum(axis=0))  # Sigma*
         self.M = bundle.M
         self.mean = pooled_cov @ np.einsum("mij,mj->i", precisions, means)  # mu*

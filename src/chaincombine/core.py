@@ -49,13 +49,6 @@ class SubposteriorBundle(_Draws):
     ----------
     values : array_like, shape (d, T, M)
         Draws indexed by [parameter, iteration, machine].
-
-    Notes
-    -----
-    Machines whose chain is constant in some component (zero variance)
-    are tagged in ``zero_variance`` rather than rejected here: simple
-    averaging tolerates them, whereas the precision-weighted combiners
-    refuse to divide by a zero variance and raise at call time.
     """
 
     layout = ("d", "T", "M")
@@ -64,11 +57,6 @@ class SubposteriorBundle(_Draws):
     def M(self):
         return self.values.shape[2]
 
-    @property
-    def zero_variance(self):
-        """(M, d) boolean mask of machine components with constant chains."""
-        return (self.values == self.values[:, :1, :]).all(axis=1).T
-
 
 class CombinedSamples(_Draws):
     """A validated, read-only (d, T) matrix of pooled posterior draws."""
@@ -76,11 +64,11 @@ class CombinedSamples(_Draws):
     layout = ("d", "T")
 
 
-def _check_finite(values, where=""):
+def _check_finite(values):
     if not np.isfinite(values).all():
         idx = np.argwhere(~np.isfinite(values))[0]
         pos = ", ".join(str(k) for k in idx)
-        raise NonFiniteValue(f"{where}non-finite value at index ({pos})")
+        raise NonFiniteValue(f"non-finite value at index ({pos})")
 
 
 def shuffle_within_machines(bundle, seed):

@@ -16,8 +16,6 @@ class ChainCombineError(Exception):
 class ValidationError(ChainCombineError):
     """Input data or arguments violate a documented precondition."""
 
-    exit_code = 2
-
 
 class DimensionMismatch(ValidationError):
     """Array sizes disagree with the claimed (d, T, M) dimensions."""

@@ -112,7 +112,8 @@ def partition_rows(data, n_shards, seed):
     """Randomly split (n, k) data rows into ``n_shards`` disjoint blocks.
 
     Rows are permuted once, then cut into contiguous blocks whose sizes
-    differ by at most one.  The union of the shards is exactly the input
+    differ by at most one: the shards are views of that one permuted copy,
+    never of the input.  The union of the shards is exactly the input
     row multiset.
     """
     data = np.asarray(data, dtype=float)
@@ -123,7 +124,7 @@ def partition_rows(data, n_shards, seed):
         raise TooManyShards(f"cannot split {n} rows into {n_shards} shards")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    return [chunk.copy() for chunk in np.array_split(data[perm], n_shards)]
+    return np.array_split(data[perm], n_shards)
 
 
 def gaussian_product_oracle(means, covs):

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SubposteriorBundle, _check_finite
-from .errors import DimensionMismatch, FileMissing, ParseError
+from .core import SubposteriorBundle
+from .errors import DimensionMismatch, FileMissing, NonFiniteValue, ParseError
 
 FLOAT_FORMAT = "%.17g"
 
@@ -50,7 +50,8 @@ def read_matrix(path):
 
     Raises :class:`FileMissing` if no regular file is there, :class:`ParseError`
     (naming file, line and column) on a field that is not a number, a ragged
-    row or no data, and :class:`NonFiniteValue` (naming the file) on NaN or inf.
+    row or no data, and :class:`NonFiniteValue` (naming the file and the 1-based
+    data row and column) on the first NaN or inf in file order.
     """
     path = Path(path)
     if not path.is_file():
@@ -63,7 +64,9 @@ def read_matrix(path):
     except (ValueError, UserWarning):
         _diagnose_matrix(path)
         raise  # unreachable unless the file changed under us
-    _check_finite(matrix.T, f"{path}: ")
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0] + 1
+        raise NonFiniteValue(f"{path}: non-finite value at row {row}, column {col}")
     return matrix
 
 

@@ -169,6 +169,21 @@ class TestMetricCommand:
             assert np.trapezoid(p_full, grid) == pytest.approx(1.0, abs=0.02)
             assert np.trapezoid(p_comb, grid) == pytest.approx(1.0, abs=0.02)
 
+    def test_unwritable_density_out_leaves_stdout_empty(self, tmp_path, bundle_manifest,
+                                                        capsys):
+        # Density files are written before anything is printed.
+        combined = tmp_path / "combined.csv"
+        main(["combine", "--method", "sample-avg",
+              "--bundle", str(bundle_manifest), "--out", str(combined)])
+        capsys.readouterr()
+        stem = tmp_path / "missing" / "d.csv"
+        code = main(["metric", "--full", str(combined), "--combined", str(combined),
+                     "--density-out", str(stem)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path / "missing" / "d.p1.csv") in err
+
     def test_shape_mismatch_rejected(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -6,6 +6,8 @@ the tests themselves (elementwise means, explicit matrix algebra) so the
 library path is never checked against itself.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from chaincombine import (
     gaussian_product_oracle,
     machine_moments,
     sample_average,
+    semiparametric_dpe,
 )
 from chaincombine.combiners import _DpeBasis, spd_inverse
 
@@ -69,7 +72,6 @@ class TestMachineSummary:
         means, covs = machine_moments(bundle)
         assert means[0, 0] == 5.0
         assert covs[0, 0, 0] == 0.0
-        assert bundle.zero_variance[0, 0]
 
     def test_two_dim_hand_case(self):
         draws = np.array([[0.0, 2.0], [0.0, 2.0]]).reshape(2, 2, 1)
@@ -277,6 +279,21 @@ class TestSharedProperties:
             consensus_independent(bundle)
         with pytest.raises(DegenerateChain):
             consensus_covariance(bundle)
+
+    @pytest.mark.parametrize(
+        "combine", [consensus_independent, consensus_covariance, semiparametric_dpe]
+    )
+    def test_underflowed_variance_refused(self, combine):
+        # Machine 2's component 1 is not constant, but its draws are so small
+        # that their fitted variance underflows to exactly zero.
+        rng = np.random.default_rng(14)
+        values = rng.standard_normal((2, 50, 3))
+        values[1, :, 2] = 1e-200 * (1.0 + rng.uniform(size=50))
+        bundle = SubposteriorBundle(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateChain, match="machine 2 component 1 "):
+                combine(bundle)
 
 
 def random_spd(rng, d, scale=1.0):

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chaincombine import DimensionMismatch, FileMissing, ParseError, SubposteriorBundle
+from chaincombine import (
+    DimensionMismatch,
+    FileMissing,
+    NonFiniteValue,
+    ParseError,
+    SubposteriorBundle,
+)
 from chaincombine import io as chaincombine_io
 from chaincombine.io import (
     FLOAT_FORMAT,
@@ -69,6 +75,14 @@ class TestMatrixFiles:
             path.write_text(text)
             with pytest.raises(ParseError, match=where):
                 read_matrix(path)
+
+    def test_non_finite_reports_first_row_and_column(self, tmp_path):
+        # The nan at row 3, column 2 comes before the inf at row 5, column 1.
+        path = tmp_path / "nan.csv"
+        path.write_text("1,2\n3,4\n5,nan\n7,8\ninf,10\n")
+        with pytest.raises(NonFiniteValue,
+                           match=r"nan\.csv: non-finite value at row 3, column 2$"):
+            read_matrix(path)
 
 
 edge_values = st.sampled_from(
