@@ -162,20 +162,18 @@ def build_parser():
 def run_combine(args):
     """Read a bundle, combine it with the requested method, write T x d output."""
     bundle = read_bundle(args.bundle)
+    if args.discard and args.method != "semiparam-dpe":
+        raise DimensionMismatch("--discard only applies to semiparam-dpe")
+    if args.discard >= bundle.T:
+        raise DimensionMismatch(f"--discard must lie in [0, {bundle.T}), got {args.discard}")
     if args.shuff:
         bundle = shuffle_within_machines(bundle, args.seed)
     if args.method == "semiparam-dpe":
         config = DpeConfig(bandw=args.bandw, anneal=not args.no_anneal, seed=args.seed)
         combined = semiparametric_dpe(bundle, config)
         if args.discard:
-            if args.discard >= combined.T:
-                raise DimensionMismatch(
-                    f"--discard must lie in [0, {combined.T}), got {args.discard}"
-                )
             combined = CombinedSamples(combined.values[:, args.discard:])
     else:
-        if args.discard:
-            raise DimensionMismatch("--discard only applies to semiparam-dpe")
         combine = {
             "sample-avg": sample_average,
             "consensus-indep": consensus_independent,

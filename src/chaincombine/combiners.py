@@ -133,8 +133,11 @@ def consensus_independent(bundle):
         return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
     _require_positive_variances(covs)
-    variances = np.diagonal(covs, axis1=1, axis2=2)  # (M, d)
-    return _pool(bundle, np.eye(bundle.d) / variances[:, :, None])
+    # Reciprocal variances scaled per component by an exact power of two, so
+    # that a subnormal variance cannot overflow before _pool normalises.
+    frac, exp = np.frexp(np.diagonal(covs, axis1=1, axis2=2))  # (M, d)
+    weights = np.ldexp(1.0 / frac, exp.min(axis=0) - exp)
+    return _pool(bundle, np.eye(bundle.d) * weights[:, :, None])
 
 
 def consensus_covariance(bundle):

@@ -16,15 +16,20 @@ from chaincombine.cli import main
 from chaincombine.io import read_bundle, read_matrix, write_bundle
 
 
+def run_python(*args):
+    """A fresh interpreter on this package: ``python *args``, output captured."""
+    src = str(Path(chaincombine.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_import_loads_numpy_only():
     # Every CLI call is its own process, so the import is paid each time;
     # the package runs on numpy alone and must not pull scipy in.
-    src = str(Path(chaincombine.__file__).resolve().parents[1])
     code = ("import sys, chaincombine, chaincombine.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 
@@ -83,6 +88,17 @@ class TestCombineCommand:
                      "--bundle", str(bundle_manifest), "--out", str(out)])
         assert code == 2
         assert "error: DimensionMismatch" in capsys.readouterr().err
+
+    def test_discard_past_the_end_fails_before_sampling(self, tmp_path, bundle_manifest,
+                                                        capsys, monkeypatch):
+        def sample(*args):
+            pytest.fail("combine ran the sampler before it checked --discard")
+
+        monkeypatch.setattr("chaincombine.cli.semiparametric_dpe", sample)
+        code = main(["combine", "--method", "semiparam-dpe", "--discard", "200",
+                     "--bundle", str(bundle_manifest), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: DimensionMismatch: --discard must lie in [0, 200)" in capsys.readouterr().err
 
     def test_unknown_method_is_usage_error(self, tmp_path, bundle_manifest):
         with pytest.raises(SystemExit) as excinfo:
@@ -321,6 +337,19 @@ class TestHarnessCommand:
                      "--combined", str(combined)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3  # header + one row per parameter
+
+
+def test_module_entry_point_exit_codes(tmp_path, bundle_manifest):
+    # python -m chaincombine passes main()'s exit code, or argparse's, to the shell.
+    usage = run_python("-m", "chaincombine", "harness", "--model", "gamma", "--iters", "1",
+                       "--out-dir", str(tmp_path / "run"))
+    assert usage.returncode == 1
+    assert "error: UsageError: " in usage.stderr and "Traceback" not in usage.stderr
+    (tmp_path / "blocker").write_text("")
+    blocked = run_python("-m", "chaincombine", "combine", "--method", "sample-avg",
+                         "--bundle", str(bundle_manifest),
+                         "--out", str(tmp_path / "blocker" / "x.csv"))
+    assert blocked.returncode == 2, blocked.stderr
 
 
 @pytest.mark.parametrize("blocker", ["regular-file", "read-only-dir", "dev-full"])

@@ -12,7 +12,7 @@ from chaincombine import (
 )
 
 
-class TestValidateBundle:
+class TestSubposteriorBundle:
     def test_nan_reports_index(self):
         raw = np.zeros((2, 3, 2))
         raw[1, 2, 0] = np.nan
@@ -25,13 +25,13 @@ class TestValidateBundle:
         with pytest.raises(NonFiniteValue):
             SubposteriorBundle(raw)
 
-    def test_flat_input_requires_dims(self):
+    def test_flat_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             SubposteriorBundle(np.arange(12.0))
 
-    def test_zero_variance_tagged_not_rejected(self):
+    def test_constant_chain_accepted(self):
         raw = np.zeros((2, 3, 2))
-        raw[0, :, 0] = 5.0            # constant chain
+        raw[0, :, 0] = 5.0
         raw[1, :, 0] = [1.0, 2.0, 3.0]
         raw[:, :, 1] = np.arange(6.0).reshape(2, 3)
         SubposteriorBundle(raw)
@@ -76,24 +76,6 @@ class TestShuffleWithinMachines:
         shuffled = shuffle_within_machines(bundle, seed=7)
         drawn = sorted(map(tuple, shuffled.values[:, :, 0].T))
         assert drawn == [(1.0, 2.0), (3.0, 4.0)]
-
-    def test_same_seed_same_output(self):
-        rng = np.random.default_rng(3)
-        bundle = SubposteriorBundle(rng.standard_normal((3, 20, 4)))
-        a = shuffle_within_machines(bundle, seed=11)
-        b = shuffle_within_machines(bundle, seed=11)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_per_machine_sorted_draws_unchanged(self):
-        # Sort-and-compare oracle: a permutation of draw positions leaves
-        # each machine's lexicographically sorted draw list unchanged.
-        rng = np.random.default_rng(5)
-        bundle = SubposteriorBundle(rng.standard_normal((2, 5, 3)))
-        shuffled = shuffle_within_machines(bundle, seed=13)
-        for m in range(bundle.M):
-            before = np.sort(bundle.values[:, :, m].T.tolist(), axis=0)
-            after = np.sort(shuffled.values[:, :, m].T.tolist(), axis=0)
-            np.testing.assert_array_equal(before, after)
 
     def test_draw_vectors_move_as_units(self):
         # Components of one draw stay together: tag each draw by an exact

@@ -423,30 +423,6 @@ class TestGammaPosterior:
 
 
 class TestPartitionRows:
-    def test_even_split(self):
-        shards = partition_rows(np.arange(10.0)[:, None], 5, seed=19)
-        assert [s.shape[0] for s in shards] == [2, 2, 2, 2, 2]
-
-    def test_remainder_rule(self):
-        shards = partition_rows(np.arange(11.0)[:, None], 5, seed=20)
-        assert sorted(s.shape[0] for s in shards) == [2, 2, 2, 2, 3]
-
-    def test_union_is_input_multiset(self):
-        rng = np.random.default_rng(21)
-        data = rng.standard_normal((37, 3))
-        shards = partition_rows(data, 4, seed=22)
-        rebuilt = np.vstack(shards)
-        order = np.lexsort(rebuilt.T)
-        expected_order = np.lexsort(data.T)
-        np.testing.assert_array_equal(rebuilt[order], data[expected_order])
-
-    def test_deterministic(self):
-        data = np.arange(20.0)[:, None]
-        a = partition_rows(data, 3, seed=23)
-        b = partition_rows(data, 3, seed=23)
-        for lhs, rhs in zip(a, b):
-            np.testing.assert_array_equal(lhs, rhs)
-
     def test_too_many_shards(self):
         with pytest.raises(TooManyShards):
             partition_rows(np.arange(3.0)[:, None], 4, seed=24)
