@@ -138,13 +138,14 @@ def build_parser():
     harness.add_argument(
         "--shards", type=_number(int, 1), default=5, help="number of data shards M"
     )
-    harness.add_argument("--iters", type=_number(int, 2), default=10_000, help="retained draws T")
-    harness.add_argument("--burnin", type=_number(int, 0), default=1_000)
+    harness.add_argument("--iters", type=_number(int, 2), default=MhConfig.iterations,
+                         help="retained draws T")
+    harness.add_argument("--burnin", type=_number(int, 0), default=MhConfig.burnin)
     harness.add_argument(
-        "--thin", type=_number(int, 1), default=1,
+        "--thin", type=_number(int, 1), default=MhConfig.thin,
         help="Metropolis steps advanced per retained draw",
     )
-    harness.add_argument("--seed", type=_number(int, 0), default=0)
+    harness.add_argument("--seed", type=_number(int, 0), default=MhConfig.seed)
     harness.add_argument(
         "--alpha", type=_number(float, 0.0, strict=True), default=4.0,
         help="Gamma shape (gamma model)",

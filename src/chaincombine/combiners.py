@@ -14,9 +14,6 @@ import numpy as np
 from .core import CombinedSamples
 from .errors import DegenerateChain, NonPositiveBandwidth, SingularCovariance
 
-# Relative eigenvalue floor applied before inverting an estimated covariance.
-EIG_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class DpeConfig:
@@ -89,8 +86,9 @@ def machine_moments(bundle):
     constant = (values == values[:, :1, :]).all(axis=1).T
     means = np.where(constant, values[:, 0, :].T, values.mean(axis=1).T)
     dev = values - means.T[:, None, :]
-    covs = np.einsum("itm,jtm->mij", dev, dev) / (bundle.T - 1)
-    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    # Entries (i, j) and (j, i) multiply the same pairs in the same order,
+    # so the covariances come out exactly symmetric.
+    return means, np.einsum("itm,jtm->mij", dev, dev) / (bundle.T - 1)
 
 
 def _require_positive_variances(covs):
@@ -105,22 +103,19 @@ def _require_positive_variances(covs):
 
 def spd_inverse(matrix):
     """Inverse of a covariance matrix, or of each matrix in a (..., d, d)
-    stack, after flooring its eigenvalues at EIG_FLOOR * trace/d.
+    stack.
 
-    Raises :class:`SingularCovariance` when flooring cannot help (zero
-    or non-finite trace, i.e. there is no scale to work with).
+    Raises :class:`SingularCovariance` when a matrix is not positive
+    definite, or it or its inverse is not finite.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
-    scale = np.trace(sym, axis1=-2, axis2=-1) / matrix.shape[-1]
-    bad = ~(np.isfinite(scale) & (scale > 0.0))
-    if bad.any():
-        raise SingularCovariance(
-            f"covariance has non-positive trace ({scale[bad][0]!r}); cannot regularize"
-        )
-    eigval, eigvec = np.linalg.eigh(sym)
-    floored = np.maximum(eigval, EIG_FLOOR * scale[..., None])
-    return (eigvec / floored[..., None, :]) @ np.swapaxes(eigvec, -1, -2)
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("covariance is not positive definite") from exc
+    inverse = np.linalg.inv(matrix)
+    if not (np.isfinite(matrix).all() and np.isfinite(inverse).all()):
+        raise SingularCovariance("covariance or its inverse is not finite")
+    return inverse
 
 
 def consensus_independent(bundle):
@@ -189,9 +184,8 @@ class _DpeBasis:
 
     def __init__(self, bundle, bandw):
         means, covs = machine_moments(bundle)
-        # Invert first, so a wholly constant machine is a SingularCovariance.
-        precisions = spd_inverse(covs)
         _require_positive_variances(covs)
+        precisions = spd_inverse(covs)
         pooled_cov = spd_inverse(precisions.sum(axis=0))  # Sigma*
         self.M = bundle.M
         self.mean = pooled_cov @ np.einsum("mij,mj->i", precisions, means)  # mu*
@@ -286,7 +280,7 @@ def semiparametric_dpe(bundle, config=DpeConfig()):
     Parameters
     ----------
     bundle : SubposteriorBundle
-        Needs T >= 2 and machine covariances invertible after flooring.
+        Needs T >= 2 and positive definite machine covariances.
     config : DpeConfig, optional
         Bandwidths, annealing flag and seed.
     """

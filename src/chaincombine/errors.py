@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all chaincombine modules.
 
 Two error families matter for callers: validation failures (bad shapes,
-non-finite values, degenerate inputs) and numerical failures (matrices
-that stay singular after regularization).  Each class carries, as
+non-finite values, degenerate inputs) and numerical failures (a
+covariance that cannot be inverted).  Each class carries, as
 ``exit_code``, the exit code the CLI returns for it.
 """
 
@@ -54,13 +54,14 @@ class ParseError(ValidationError):
 
 
 class NumericalError(ChainCombineError):
-    """Linear algebra failed beyond what regularization can repair."""
+    """Linear algebra failed on a matrix built from the draws."""
 
     exit_code = 3
 
 
 class SingularCovariance(NumericalError):
-    """A covariance matrix is singular even after eigenvalue flooring."""
+    """A covariance matrix is not positive definite, or it or its inverse
+    is not finite."""
 
 
 class NonConvergenceWarning(UserWarning):

@@ -62,8 +62,8 @@ class MhConfig:
     draws at proportional cost.
     """
 
-    iterations: int = 50_000
-    burnin: int = 2_000
+    iterations: int = 10_000
+    burnin: int = 1_000
     seed: int = 0
     thin: int = 1
 

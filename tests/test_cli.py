@@ -114,23 +114,35 @@ class TestCombineCommand:
         assert "error: FileMissing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("constant", [1.0, 0.7])
-    def test_singular_covariance_is_numerical_error(self, tmp_path, capsys, constant):
-        # One machine entirely constant: its covariance has zero trace, which
-        # no amount of flooring can fix.  The mean of n copies of 0.7 is not
-        # exactly 0.7 in floating point, so the value matters: a computed
-        # mean would leave a tiny positive trace and a silent point mass.
+    def test_constant_machine_is_validation_error(self, tmp_path, capsys, constant):
+        # One machine entirely constant: its variances are zero.  The mean of
+        # n copies of 0.7 is not exactly 0.7 in floating point, so the value
+        # matters: a computed mean would leave tiny positive variances.
         values = np.full((2, 50, 2), constant)
         values[:, :, 0] = np.random.default_rng(1).standard_normal((2, 50))
         manifest = tmp_path / "bad.json"
         write_bundle(SubposteriorBundle(values), manifest)
         code = main(["combine", "--method", "semiparam-dpe",
                      "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: DegenerateChain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["consensus-cov", "semiparam-dpe"])
+    def test_collinear_machine_is_numerical_error(self, tmp_path, capsys, method):
+        # Machine 1 draws -1, 0, 1 in both components: positive variances, but
+        # its covariance [[1, 1], [1, 1]] is singular.
+        values = np.random.default_rng(1).standard_normal((2, 3, 2))
+        values[:, :, 1] = [-1.0, 0.0, 1.0]
+        manifest = tmp_path / "collinear.json"
+        write_bundle(SubposteriorBundle(values), manifest)
+        code = main(["combine", "--method", method,
+                     "--bundle", str(manifest), "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "error: SingularCovariance" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_partly_constant_machine_is_validation_error(self, tmp_path, capsys):
-        # Only component 0 of machine 1 is constant: the covariance has a
-        # positive trace, so this is a degenerate chain, not a singular one.
+        # Only component 0 of machine 1 is constant: still a degenerate chain.
         values = np.random.default_rng(2).standard_normal((2, 500, 3))
         values[0, :, 1] = 0.7
         manifest = tmp_path / "partly.json"

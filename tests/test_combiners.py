@@ -1,5 +1,5 @@
 """The three linear combiners, the machine moments they share, and the
-guarded SPD inversion.
+checked SPD inversion.
 
 Derived expectations are computed by independent brute-force oracles in
 the tests themselves (elementwise means, explicit matrix algebra) so the
@@ -27,6 +27,15 @@ from chaincombine.combiners import _DpeBasis, spd_inverse
 
 def random_bundle(rng, d, T, M):
     return SubposteriorBundle(rng.standard_normal((d, T, M)))
+
+
+def tiny_component_values(scale):
+    """(2, 50, 3) standard normal draws, except that machine 2's component 1
+    spreads over [scale, 2 * scale]."""
+    rng = np.random.default_rng(14)
+    values = rng.standard_normal((2, 50, 3))
+    values[1, :, 2] = scale * (1.0 + rng.uniform(size=50))
+    return values
 
 
 class TestSampleAverage:
@@ -77,6 +86,15 @@ class TestMachineSummary:
         with pytest.raises(DegenerateChain):
             machine_moments(bundle)
 
+    def test_variance_near_overflow_is_finite(self):
+        # Every entry is 2 a^2 = 1.2e308, finite, though twice it is not.
+        a = 7.75e153
+        draws = np.array([[a, -a], [a, -a]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, covs = machine_moments(SubposteriorBundle(np.stack([draws, -draws], axis=2)))
+        np.testing.assert_array_equal(covs, np.full((2, 2, 2), 2.0 * a * a))
+
 
 class TestConsensusIndependent:
     def test_hand_case_scalar_two_machines(self):
@@ -91,9 +109,7 @@ class TestConsensusIndependent:
         # Machine 2's component 1 has a positive but subnormal variance, whose
         # reciprocal overflows: its weight dwarfs the others', so the pooled
         # component is its draws (and CombinedSamples refuses a non-finite one).
-        rng = np.random.default_rng(14)
-        values = rng.standard_normal((2, 50, 3))
-        values[1, :, 2] = scale * (1.0 + rng.uniform(size=50))
+        values = tiny_component_values(scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = consensus_independent(SubposteriorBundle(values)).values
@@ -245,13 +261,20 @@ class TestSharedProperties:
     def test_underflowed_variance_refused(self, combine):
         # Machine 2's component 1 is not constant, but its draws are so small
         # that their fitted variance underflows to exactly zero.
-        rng = np.random.default_rng(14)
-        values = rng.standard_normal((2, 50, 3))
-        values[1, :, 2] = 1e-200 * (1.0 + rng.uniform(size=50))
-        bundle = SubposteriorBundle(values)
+        bundle = SubposteriorBundle(tiny_component_values(1e-200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateChain, match="machine 2 component 1 "):
+                combine(bundle)
+
+    @pytest.mark.parametrize("combine", [consensus_covariance, semiparametric_dpe])
+    def test_subnormal_variance_is_singular(self, combine):
+        # Machine 2's component 1 has a positive but subnormal variance, so its
+        # covariance has no finite inverse: no precision can weight it.
+        bundle = SubposteriorBundle(tiny_component_values(1e-155))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularCovariance, match="inverse is not finite"):
                 combine(bundle)
 
 
@@ -261,21 +284,22 @@ def random_spd(rng, d, scale=1.0):
 
 
 class TestFlooring:
+    """:func:`spd_inverse` floors no eigenvalue: it inverts exactly or raises."""
+
     def test_pd_matrix_unchanged_within_floor(self):
         rng = np.random.default_rng(3)
         cov = random_spd(rng, 3)
         np.testing.assert_allclose(spd_inverse(cov), np.linalg.inv(cov), rtol=1e-9)
 
-    def test_singular_matrix_becomes_invertible(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-        inv = spd_inverse(cov)
-        assert np.all(np.isfinite(inv))
-        # The nonsingular direction is inverted correctly: eigenvector
-        # (1,1)/sqrt(2) has eigenvalue 2.  The floored direction carries a
-        # ~1e10 eigenvalue, so projection error is amplified; tolerance
-        # reflects that.
-        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        np.testing.assert_allclose(v @ inv @ v, 0.5, atol=1e-6)
+    def test_singular_matrix_raises(self):
+        # Rank 1: the covariance of a machine whose two components are collinear.
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            spd_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("variance", [np.inf, 1e-310])
+    def test_non_finite_matrix_or_inverse_raises(self, variance):
+        with pytest.raises(SingularCovariance, match="not finite"):
+            spd_inverse(np.array([[variance]]))
 
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularCovariance):

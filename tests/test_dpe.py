@@ -10,7 +10,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from chaincombine import (
     DegenerateChain,
@@ -104,9 +103,8 @@ class TestSampler:
 
     def test_partly_constant_machine_refused(self):
         # A component that is constant on one machine while the others vary
-        # would be floored to a near-infinite precision and pin the pooled
-        # draws at the constant; like the consensus rules, the sampler
-        # refuses it.
+        # has zero variance and no precision; like the consensus rules, the
+        # sampler refuses it.
         values = np.random.default_rng(4).standard_normal((2, 500, 3))
         values[0, :, 1] = 0.7
         with pytest.raises(DegenerateChain, match="machine 1 component 0"):
@@ -168,7 +166,7 @@ def dense_reference(bundle):
 
     def logpdf(x, mean, cov):
         chol = np.linalg.cholesky(cov)
-        z = solve_triangular(chol, np.atleast_2d(x - mean).T, lower=True)
+        z = np.linalg.solve(chol, np.atleast_2d(x - mean).T)
         logdet = 2.0 * np.log(np.diag(chol)).sum()
         return -0.5 * (d * np.log(2.0 * np.pi) + logdet + (z * z).sum(axis=0))
 
@@ -186,10 +184,8 @@ def dense_reference(bundle):
         theta_bar = bundle.values[:, indices, np.arange(M)].mean(axis=1)
         chol = np.linalg.cholesky(pooled_prec + np.diag(M / hsq))
         rhs = (M / hsq) * theta_bar + prec_mean
-        mean = solve_triangular(
-            chol.T, solve_triangular(chol, rhs, lower=True), lower=False
-        )
-        inv_chol = solve_triangular(chol, np.eye(d), lower=True)
+        mean = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        inv_chol = np.linalg.solve(chol, np.eye(d))
         return mean, inv_chol.T @ inv_chol
 
     return log_weight, component

@@ -4,9 +4,10 @@ malformed bundle files.
 
 For the statistical properties Hypothesis picks the shapes and a seed,
 and the data come from a numpy generator with that seed, so every
-example is well-scaled Gaussian noise.  The file round trip instead
-takes its values from Hypothesis directly, adversarial digit patterns
-included, since exact serialization is what it checks.
+example is Gaussian noise, well scaled except where a property is about
+scale.  The file round trip instead takes its values from Hypothesis
+directly, adversarial digit patterns included, since exact serialization
+is what it checks.
 """
 
 import contextlib
@@ -74,23 +75,27 @@ def test_machine_moments_match_numpy(d, T, M, seed, constant_share):
     seed=seeds,
 )
 def test_consensus_covariance_affine_equivariance(d, T, M, seed):
-    # x -> A x + b with A = Q diag(s) R, Q and R orthogonal and s in
-    # [0.5, 2], so A is full and its condition number is at most 4.
-    # Enough draws keep every machine covariance well conditioned, so the
-    # eigenvalue floor never acts and the map is exact up to rounding.
+    # x -> A x + b with A = diag(c) Q diag(s) R, Q and R orthogonal, s in
+    # [0.5, 2] and per-component scales c in [1e-8, 1], and b = c * b0.  So
+    # component i of the output scales by c_i, and each component is checked
+    # against its own scale: a covariance is inverted exactly, whatever the
+    # spread of scales between its components.
     T = max(T, 4 * d + 4)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     r, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    a = (q * rng.uniform(0.5, 2.0, size=d)) @ r
-    b = rng.uniform(-3.0, 3.0, size=d)
+    c = 10.0 ** rng.uniform(-8.0, 0.0, size=d)
+    a = c[:, None] * (q * rng.uniform(0.5, 2.0, size=d)) @ r
+    b = c * rng.uniform(-3.0, 3.0, size=d)
     bundle = SubposteriorBundle(rng.standard_normal((d, T, M)) + rng.standard_normal((d, 1, M)))
     mapped = SubposteriorBundle(np.einsum("ij,jtm->itm", a, bundle.values) + b[:, None, None])
 
     expected = a @ consensus_covariance(bundle).values + b[:, None]
     got = consensus_covariance(mapped).values
 
-    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+    for i in range(d):
+        np.testing.assert_allclose(got[i], expected[i], rtol=1e-9,
+                                   atol=1e-9 * np.abs(expected[i]).max())
 
 
 @settings(deadline=None, max_examples=60)
