@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CombinedSamples
+from .core import CombinedSamples, _stream
 from .errors import DegenerateChain, NonPositiveBandwidth, SingularCovariance
 
 
@@ -49,16 +49,22 @@ def _pool(bundle, weights):
 
     Row i of every ``W_m`` is divided by ``max_m |W_m[i, i]|`` first,
     which leaves the solution unchanged, guards against overflow and
-    makes equal weights exactly the identity.
+    makes equal weights exactly the identity.  The draws are pooled about
+    a reference point ``c``, as ``c + pool(x_m - c)``, so that the rounding
+    follows their spread, not their distance from the origin.  ``c`` is
+    the first draws pooled as they are: near every machine that carries
+    weight, so no such machine's digits are lost to the subtraction.
     """
     diag = np.diagonal(weights, axis1=1, axis2=2)
     norm = weights / np.abs(diag).max(axis=0)[:, None]
-    weighted = np.einsum("mij,jtm->it", norm, bundle.values, optimize=True)
+    values, total = bundle.values, norm.sum(axis=0)
     try:
-        pooled = np.linalg.solve(norm.sum(axis=0), weighted)
+        centre = np.linalg.solve(total, np.einsum("mij,jm->i", norm, values[:, 0, :]))
+        weighted = np.einsum("mij,jtm->it", norm, values - centre[:, None, None], optimize=True)
+        pooled = np.linalg.solve(total, weighted)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("sum of machine precisions is singular") from exc
-    return CombinedSamples(pooled)
+    return CombinedSamples(pooled + centre[:, None])
 
 
 def sample_average(bundle):
@@ -272,7 +278,8 @@ def semiparametric_dpe(bundle, config=DpeConfig()):
     Annealed or fixed, each iteration's acceptance ratio is one O(d)
     log-weight difference at that iteration's bandwidth, common to the
     current and the proposed component.  All random numbers are drawn
-    up front from ``default_rng(config.seed)``; the chain runs in a
+    up front from the ``"dpe"`` stream of ``config.seed``, which no data,
+    chain or shuffle stream of any seed replays; the chain runs in a
     rotated basis on Python floats over proposal rows gathered before
     the loop (see :class:`_DpeBasis`), and all T draws are emitted in
     one batched pass after it.
@@ -286,7 +293,7 @@ def semiparametric_dpe(bundle, config=DpeConfig()):
     """
     d, T, M = bundle.d, bundle.T, bundle.M
     basis = _DpeBasis(bundle, config.resolved_bandwidths(d))
-    rng = np.random.default_rng(config.seed)
+    rng = _stream(config.seed, "dpe")
     start = rng.integers(0, T, size=M)
     machines = rng.integers(0, M, size=T)
     proposals = rng.integers(0, T, size=T)

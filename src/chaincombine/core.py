@@ -71,6 +71,19 @@ def _check_finite(values):
         raise NonFiniteValue(f"non-finite value at index ({pos})")
 
 
+# The random roles of a run: no two roles, and no role under two seeds,
+# share a stream.
+ROLES = ("data", "cut", "chain", "dpe", "shuffle")
+
+
+def _stream(seed, role, *index):
+    """The generator of ``role``, number ``index`` where it has several:
+    the child of ``SeedSequence(seed)`` with spawn key ``(r, *index)`` for
+    ``r = ROLES.index(role)``."""
+    key = (ROLES.index(role), *index)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def shuffle_within_machines(bundle, seed):
     """Independently permute the draw order of every machine.
 
@@ -79,13 +92,13 @@ def shuffle_within_machines(bundle, seed):
     machines changes.  This breaks spurious correlation between
     same-index draws on different machines.
 
-    Every machine's permutation comes from its own child of
-    ``SeedSequence(seed)``, so none of them replays the stream of
-    ``default_rng(seed)``, which ``combine --shuff --seed s`` hands to
-    the density-product sampler.
+    Machine m's permutation comes from the ``("shuffle", m)`` stream of
+    ``seed``, so it replays neither another machine's nor the stream of
+    the density-product sampler, which ``combine --shuff --seed s`` seeds
+    with the same ``s``.
     """
     shuffled = np.empty_like(bundle.values)
-    for m, stream in enumerate(np.random.SeedSequence(seed).spawn(bundle.M)):
-        perm = np.random.default_rng(stream).permutation(bundle.T)
+    for m in range(bundle.M):
+        perm = _stream(seed, "shuffle", m).permutation(bundle.T)
         shuffled[:, :, m] = bundle.values[:, perm, m]
     return SubposteriorBundle(shuffled)

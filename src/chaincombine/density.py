@@ -43,9 +43,9 @@ def kde_1d(samples, grid, bandwidth):
 
     Approximates values[g] = (1 / (T h)) * sum_t phi((grid[g] - samples[t]) / h)
     by linear binning (Silverman 1982; Wand 1994): each draw splits its
-    weight between its two neighbouring bins, and one convolution with the
-    kernel sampled at the bin offsets out to +-8.5 h, scaled to unit mass,
-    spreads the counts.  The bins split each grid step finely enough that
+    weight between its two neighbouring bins, and the kernel sampled at the
+    bin offsets out to +-8.5 h, scaled to unit mass, spreads the counts
+    onto the grid points.  The bins split each grid step finely enough that
     h spans ``BIN_CELLS_PER_BANDWIDTH`` of them (at most
     ``MAX_BIN_REFINEMENT`` per step), which keeps the estimate within
     about 1e-4 of the direct sum's peak.  Draws beyond the grid ends still
@@ -80,7 +80,10 @@ def kde_1d(samples, grid, bandwidth):
     cell = pos.astype(np.intp)
     frac = pos - cell
     counts = np.bincount(cell, 1.0 - frac, size) + np.bincount(cell + 1, frac, size)
-    return np.convolve(counts, kernel, mode="valid")[1:-1:refine]
+    # Grid point g sums counts[1 + g * refine + i] * kernel[i]: one valid-mode
+    # correlation per phase i % refine computes only the grid points.
+    return sum(np.correlate(counts[1 + p::refine], kernel[p::refine], "valid")[:grid.size]
+               for p in range(min(refine, kernel.size)))
 
 
 def density_pair(full_samples, combined_samples):

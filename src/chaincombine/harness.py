@@ -8,8 +8,8 @@ sampled with an adaptive random-walk Metropolis chain whose proposal
 scale is tuned during burn-in only, so the retained draws come from a
 fixed kernel.  :func:`run_chains` shards the data and samples the
 shards and the full data in parallel worker processes, since the chains
-never communicate; it alone fixes the seeds of the shard cut and of
-every chain.
+never communicate.  Every random role (data, shard cut, chain m) draws
+from its own stream of the run seed (``core.ROLES``).
 
 The exact product-of-Gaussians moments live here too; they are the
 independent oracle the combiners are tested against.
@@ -20,11 +20,11 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SubposteriorBundle
+from .core import SubposteriorBundle, _stream
 from .errors import (
     DegenerateChain,
     NonConvergenceWarning,
@@ -49,6 +49,9 @@ MODE_MAX_STEPS = 50
 
 # Central-difference step for the proposal Hessian, relative to max(|x|, 1).
 HESSIAN_REL_STEP = 1e-4
+
+# Metropolis steps whose proposal normals and uniforms are drawn at once.
+RANDOM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,12 @@ def simulate_logistic_data(n, beta, seed):
     """Draw covariates i.i.d. standard normal and Bernoulli outcomes.
 
     Returns the (n, 1 + d) rows ``[y, x_1, ..., x_d]`` that
-    :func:`run_chains` shards.
+    :func:`run_chains` shards, drawn from the ``"data"`` stream of ``seed``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     beta = np.asarray(beta, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, "data")
     x = rng.standard_normal((n, beta.size))
     p = _expit(x @ beta)
     y = (rng.uniform(size=n) < p).astype(float)
@@ -101,20 +104,20 @@ def simulate_logistic_data(n, beta, seed):
 
 def simulate_gamma_data(n, alpha, beta, seed):
     """Draw n observations from Gamma(alpha, beta) with rate beta, as
-    the (n, 1) rows ``[y]`` that :func:`run_chains` shards."""
+    the (n, 1) rows ``[y]`` that :func:`run_chains` shards, from the
+    ``"data"`` stream of ``seed``."""
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.gamma(shape=alpha, scale=1.0 / beta, size=(n, 1))
+    return _stream(seed, "data").gamma(shape=alpha, scale=1.0 / beta, size=(n, 1))
 
 
 def partition_rows(data, n_shards, seed):
     """Randomly split (n, k) data rows into ``n_shards`` disjoint blocks.
 
-    Rows are permuted once, then cut into contiguous blocks whose sizes
-    differ by at most one: the shards are views of that one permuted copy,
-    never of the input.  The union of the shards is exactly the input
-    row multiset.
+    Rows are permuted once, by the ``"cut"`` stream of ``seed``, then cut
+    into contiguous blocks whose sizes differ by at most one: the shards
+    are views of that one permuted copy, never of the input.  The union
+    of the shards is exactly the input row multiset.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
@@ -122,8 +125,7 @@ def partition_rows(data, n_shards, seed):
         raise TooManyShards("shard count must be >= 1")
     if n_shards > n:
         raise TooManyShards(f"cannot split {n} rows into {n_shards} shards")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = _stream(seed, "cut").permutation(n)
     return np.array_split(data[perm], n_shards)
 
 
@@ -182,7 +184,7 @@ def _proposal_cholesky(log_density, center):
     return np.diag(np.maximum(np.abs(center), 1.0))
 
 
-def adaptive_random_walk(log_density, start, config):
+def adaptive_random_walk(log_density, start, config, chain=0):
     """Random-walk Metropolis with burn-in-only scale adaptation.
 
     The proposal is ``scale * L z`` with ``L`` the local curvature
@@ -190,9 +192,14 @@ def adaptive_random_walk(log_density, start, config):
     follows a Robbins-Monro recursion toward the target acceptance rate
     and is frozen afterwards.
     ``log_density`` is ``-inf`` where the target has no mass; such a
-    proposal, or one whose log density is NaN, is rejected without
-    drawing a uniform.  A start whose log density is not finite raises
-    :class:`DegenerateChain`.
+    proposal, or one whose log density is NaN, is rejected.  A start
+    whose log density is not finite raises :class:`DegenerateChain`.
+
+    The randomness comes from the ``("chain", chain)`` stream of
+    ``config.seed``, drawn ``RANDOM_BLOCK`` steps at a time: a block of
+    normals, turned into proposal steps by one product with ``L``, then
+    a block of uniforms, one per step whether the step uses it or not.
+    So the memory stays O(RANDOM_BLOCK * d) at any chain length.
 
     Returns ``(draws, acceptance_rate)`` with ``draws`` of shape (d, T)
     and the rate measured over all post-burn-in steps.  A rate outside
@@ -201,7 +208,7 @@ def adaptive_random_walk(log_density, start, config):
     start = np.asarray(start, dtype=float)
     d = start.size
     target = TARGET_ACCEPT_SCALAR if d == 1 else TARGET_ACCEPT_MULTIVARIATE
-    rng = np.random.default_rng(config.seed)
+    rng = _stream(config.seed, "chain", chain)
     x = start.copy()
     log_p = log_density(x)
     if not math.isfinite(log_p):
@@ -212,28 +219,30 @@ def adaptive_random_walk(log_density, start, config):
     # Python floats where the loop allows: numpy scalar arithmetic is slower.
     scale = 2.38 / math.sqrt(d)
     burnin, thin = config.burnin, config.thin
+    total = burnin + config.iterations * thin
     kept = []
     accept_sum = 0.0
-    for k in range(burnin + config.iterations * thin):
-        proposal = x + scale * chol.dot(rng.standard_normal(d))
-        log_p_prop = log_density(proposal)
-        # False for -inf and for NaN alike: neither proposal has mass.
-        if log_p_prop > -math.inf:
-            delta = log_p_prop - log_p
-            # np.exp(0) is exactly 1; math.exp can differ from np.exp in the
-            # last bit, which would change the chain.
-            accept_prob = float(np.exp(delta)) if delta < 0.0 else 1.0
-            if rng.random() < accept_prob:
-                x = proposal
-                log_p = log_p_prop
-        else:
-            accept_prob = 0.0
-        if k < burnin:
-            scale *= float(np.exp((k + 1.0) ** -0.6 * (accept_prob - target)))
-        else:
-            accept_sum += accept_prob
-            if (k - burnin) % thin == thin - 1:
-                kept.append(x)
+    for first in range(0, total, RANDOM_BLOCK):
+        size = min(RANDOM_BLOCK, total - first)
+        steps = rng.standard_normal((size, d)) @ chol.T
+        for k, step, u in zip(range(first, first + size), steps, rng.random(size).tolist()):
+            proposal = x + scale * step
+            log_p_prop = log_density(proposal)
+            # False for -inf and for NaN alike: neither proposal has mass.
+            if log_p_prop > -math.inf:
+                delta = log_p_prop - log_p
+                accept_prob = math.exp(delta) if delta < 0.0 else 1.0
+                if u < accept_prob:
+                    x = proposal
+                    log_p = log_p_prop
+            else:
+                accept_prob = 0.0
+            if k < burnin:
+                scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
+            else:
+                accept_sum += accept_prob
+                if (k - burnin) % thin == thin - 1:
+                    kept.append(x)
     # C order: numpy sums a C-order row pairwise but a transposed one
     # sequentially, so the layout decides the last bits of a draw mean.
     draws = np.ascontiguousarray(np.array(kept).T)
@@ -294,9 +303,9 @@ def _logistic_mode(x, y):
                           "maximum (separable outcomes?); the posterior is improper")
 
 
-def _logistic_chain(rows, config):
+def _logistic_chain(rows, config, chain=0):
     """Posterior draws for logistic-regression coefficients on rows
-    ``[y, x_1, ..., x_d]``.
+    ``[y, x_1, ..., x_d]``, from chain stream ``chain``.
 
     Flat priors make the log posterior equal the log likelihood up to a
     constant.  Returns ``(draws, rate)``: the (d, T) retained draws and
@@ -305,7 +314,7 @@ def _logistic_chain(rows, config):
     x, y = rows[:, 1:], rows[:, 0]
     log_density = _logistic_log_likelihood(x, y)
     start = _logistic_mode(x, y)
-    return adaptive_random_walk(log_density, start, config)
+    return adaptive_random_walk(log_density, start, config, chain)
 
 
 def _gamma_log_posterior(y):
@@ -323,9 +332,8 @@ def _gamma_log_posterior(y):
         var = sd * sd
         alpha = mean * mean / var
         beta = mean / var
-        # np.log, not math.log: the two can differ in the last bit.
         return (
-            n * (alpha * float(np.log(beta)) - math.lgamma(alpha))
+            n * (alpha * math.log(beta) - math.lgamma(alpha))
             + (alpha - 1.0) * sum_log_y
             - beta * sum_y
         )
@@ -333,8 +341,9 @@ def _gamma_log_posterior(y):
     return log_density
 
 
-def _gamma_chain(rows, config):
-    """Posterior draws of (alpha, beta) for Gamma data on rows ``[y]``.
+def _gamma_chain(rows, config, chain=0):
+    """Posterior draws of (alpha, beta) for Gamma data on rows ``[y]``,
+    from chain stream ``chain``.
 
     The chain walks the (mean, sd) parameterization under
     Uniform(0.0001, 10000) priors on each coordinate; proposals outside
@@ -351,7 +360,7 @@ def _gamma_chain(rows, config):
     start = np.array([y.mean(), y.std(ddof=1)])
     if start[1] == 0.0:
         raise DegenerateChain("data has zero variance; Gamma fit is degenerate")
-    (mean, sd), rate = adaptive_random_walk(log_density, start, config)
+    (mean, sd), rate = adaptive_random_walk(log_density, start, config, chain)
     var = sd * sd
     return np.vstack([mean * mean / var, mean / var]), rate
 
@@ -365,7 +374,7 @@ def _keep_blocks(blocks):
 
 
 def _sample_rows(model, k, config):
-    """One chain on data block ``k``, in a worker process.
+    """Chain ``k`` on data block ``k``, in a worker process.
 
     Returns the draws and the post-burn-in acceptance rate with the
     warnings the chain raised, so that the parent can re-issue them.
@@ -373,7 +382,7 @@ def _sample_rows(model, k, config):
     chain = _logistic_chain if model == "logistic" else _gamma_chain
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        draws, rate = chain(_blocks[k], config)
+        draws, rate = chain(_blocks[k], config, k)
     return draws, rate, [w.message for w in caught]
 
 
@@ -387,10 +396,10 @@ def run_chains(model, rows, shards, config):
     """Shard the data rows and sample every shard and the full data.
 
     ``model`` is ``"logistic"`` (rows ``[y, x_1, ..., x_d]``) or
-    ``"gamma"`` (rows ``[y]``), as the simulators return them.  With
-    ``s = config.seed``, the rows are cut into ``shards`` blocks by
-    ``partition_rows(rows, shards, seed=s + 1)``, and chain ``m`` runs
-    ``config`` with seed ``s + 2 + m``: the shards in order, then the
+    ``"gamma"`` (rows ``[y]``), as the simulators return them.  The rows
+    are cut into ``shards`` blocks by ``partition_rows(rows, shards,
+    config.seed)``, and chain ``m`` runs ``config`` on the ``("chain",
+    m)`` stream of ``config.seed``: the shards in order, then the
     full-data chain.  The chains share nothing, so they run in forked
     worker processes, one per usable core at most, largest block first:
     the full-data chain is the longest.  The workers inherit the blocks
@@ -410,8 +419,7 @@ def run_chains(model, rows, shards, config):
     if model not in ("logistic", "gamma"):
         raise ValueError(f"unknown model {model!r}")
     rows = np.asarray(rows, dtype=float)
-    blocks = [*partition_rows(rows, shards, seed=config.seed + 1), rows]
-    configs = [replace(config, seed=config.seed + 2 + m) for m in range(len(blocks))]
+    blocks = [*partition_rows(rows, shards, config.seed), rows]
     order = sorted(range(len(blocks)), key=lambda k: -blocks[k].shape[0])
     # Fork, not spawn: the pool lives for one call, and a spawned worker
     # would pay a fresh interpreter and numpy import, about 0.3 s, each call.
@@ -422,7 +430,7 @@ def run_chains(model, rows, shards, config):
     workers = min(_usable_cores(), len(blocks))
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_keep_blocks,
                              initargs=(blocks,)) as pool:
-        futures = {k: pool.submit(_sample_rows, model, k, configs[k]) for k in order}
+        futures = {k: pool.submit(_sample_rows, model, k, config) for k in order}
         results = [futures[k].result() for k in range(len(blocks))]
     chains, rates = [], []
     for draws, rate, caught in results:

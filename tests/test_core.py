@@ -10,6 +10,7 @@ from chaincombine import (
     SubposteriorBundle,
     shuffle_within_machines,
 )
+from chaincombine.core import _stream
 
 
 class TestSubposteriorBundle:
@@ -98,9 +99,9 @@ class TestShuffleWithinMachines:
 
     def test_stream_independent_of_sampler_seed(self):
         # combine --shuff --seed s seeds the density-product sampler with
-        # default_rng(s); the shuffle must not replay that stream.
+        # the same s; the shuffle must not replay the sampler's stream.
         T = 50
         bundle = SubposteriorBundle(np.arange(float(T)).reshape(1, T, 1))
         for seed in (0, 5, 123):
             perm = shuffle_within_machines(bundle, seed).values[0, :, 0]
-            assert not np.array_equal(perm, np.random.default_rng(seed).permutation(T))
+            assert not np.array_equal(perm, _stream(seed, "dpe").permutation(T))

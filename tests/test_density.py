@@ -7,6 +7,7 @@ the reference that ``TestBinnedAgainstDirect`` holds it to.
 import numpy as np
 import pytest
 
+from chaincombine import density
 from chaincombine import (
     DegenerateChain,
     InvalidGrid,
@@ -37,6 +38,26 @@ def direct_distance(full_samples, combined_samples):
     grid, p_full, p_comb = direct_pair(full_samples, combined_samples)
     return float(np.sqrt(np.trapezoid((p_full - p_comb) ** 2, grid))
                  / np.sqrt(np.trapezoid(p_full**2, grid)))
+
+
+def convolved_kde(samples, grid, bandwidth):
+    """``kde_1d``'s binning, spread by one full convolution over every fine
+    bin, of which every ``refine``-th output is kept."""
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    refine = min(density.MAX_BIN_REFINEMENT,
+                 int(np.ceil(density.BIN_CELLS_PER_BANDWIDTH * step / bandwidth)))
+    fine = step / refine
+    half = int(density.KERNEL_CUTOFF_BANDWIDTHS * bandwidth / fine)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (fine / bandwidth)) ** 2)
+    kernel /= kernel.sum() * fine * samples.size
+    size = (grid.size - 1) * refine + 2 * half + 3
+    pos = (samples - grid[0]) / fine + half + 1
+    pos = pos[(pos >= 0.0) & (pos < size - 1)]
+    cell = pos.astype(np.intp)
+    counts = np.zeros(size)
+    np.add.at(counts, cell, 1.0 - (pos - cell))
+    np.add.at(counts, cell + 1, pos - cell)
+    return refine, np.convolve(counts, kernel, mode="valid")[1:-1:refine]
 
 
 def draws(shape, T, seed):
@@ -160,6 +181,19 @@ class TestBinnedAgainstDirect:
         est = kde_1d(samples, grid, 0.3)
         ref = direct_kde(samples, grid, 0.3)
         np.testing.assert_allclose(est, ref, rtol=0.0, atol=1e-3 * ref.max())
+
+    @pytest.mark.parametrize("steps_per_bandwidth, refine", [
+        (1 / 40, 1), (1 / 4.1, 8), (4.0, density.MAX_BIN_REFINEMENT),
+        (1000.0, density.MAX_BIN_REFINEMENT),  # a kernel narrower than a phase
+    ])
+    def test_phase_correlations_equal_one_convolution(self, steps_per_bandwidth, refine):
+        samples = np.random.default_rng(11).gamma(2.0, size=2500)
+        grid = np.linspace(-1.0, 12.0, 512)
+        bandwidth = (grid[1] - grid[0]) / steps_per_bandwidth
+        used, want = convolved_kde(samples, grid, bandwidth)
+        got = kde_1d(samples, grid, bandwidth)
+        assert used == refine
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 3.0], [0.5], np.linspace(1.0, -1.0, 9)],
                              ids=["uneven", "one-point", "decreasing"])

@@ -20,6 +20,7 @@ from chaincombine import (
 )
 from chaincombine.cli import main
 from chaincombine.combiners import _bandwidth_scales, _DpeBasis, _log_ratio
+from chaincombine.core import _stream
 from chaincombine.io import write_bundle
 
 from conftest import gaussian_subposteriors
@@ -259,7 +260,7 @@ def run_index_chain(bundle, anneal, seed):
     """The sampler's index chain on its own, as semiparametric_dpe runs it."""
     d, T, M = bundle.d, bundle.T, bundle.M
     basis = _DpeBasis(bundle, np.ones(d))
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, "dpe")
     start = rng.integers(0, T, size=M)
     s = _bandwidth_scales(T, d, anneal)
     history, indices = basis.run_chain(

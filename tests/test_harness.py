@@ -1,11 +1,13 @@
 """Data simulators, shard samplers, partitioning and the product oracle.
 
 ``reference_random_walk`` and the two reference densities below are the
-Metropolis loop and log densities in plain numpy-scalar form, one
-``uniform()`` per finite proposal.  ``TestBitwiseAgainstReference`` holds
-the sampler to them bit for bit: same draws, same acceptance rate.
+Metropolis loop and log densities in plain numpy-scalar form, drawing a
+block of normals and then a block of uniforms every ``RANDOM_BLOCK``
+steps.  ``TestBitwiseAgainstReference`` holds the sampler to them bit for
+bit: same draws, same acceptance rate.
 """
 
+import concurrent.futures
 import math
 import multiprocessing
 import tracemalloc
@@ -18,6 +20,7 @@ import pytest
 from chaincombine import harness
 from chaincombine import (
     DegenerateChain,
+    DpeConfig,
     MhConfig,
     NonConvergenceWarning,
     NonPositiveData,
@@ -27,9 +30,12 @@ from chaincombine import (
     gaussian_product_oracle,
     partition_rows,
     run_chains,
+    semiparametric_dpe,
+    shuffle_within_machines,
     simulate_gamma_data,
     simulate_logistic_data,
 )
+from chaincombine.core import ROLES
 from chaincombine.harness import (
     _expit,
     _gamma_chain,
@@ -44,39 +50,43 @@ BETA_REFERENCE = np.array([0.47, -1.70, 0.54, -0.90, 0.86])
 
 def serial_chains(chain, rows, shards, config):
     """What ``run_chains`` computes, one chain at a time in this process:
-    the shards cut with seed s + 1, then chain m, the full data last,
-    seeded s + 2 + m.  Returns one ``(draws, rate)`` per chain."""
-    blocks = [*partition_rows(rows, shards, seed=config.seed + 1), rows]
-    return [chain(block, replace(config, seed=config.seed + 2 + m))
-            for m, block in enumerate(blocks)]
+    the shards cut by seed s, then chain m on chain stream m of s, the
+    full data last.  Returns one ``(draws, rate)`` per chain."""
+    blocks = [*partition_rows(rows, shards, config.seed), rows]
+    return [chain(block, config, m) for m, block in enumerate(blocks)]
 
 
-def reference_random_walk(log_density, start, config):
+def reference_random_walk(log_density, start, config, chain=0):
     """The Metropolis loop of ``adaptive_random_walk``, one column per kept draw."""
     start = np.asarray(start, dtype=float)
     d = start.size
     target = harness.TARGET_ACCEPT_SCALAR if d == 1 else harness.TARGET_ACCEPT_MULTIVARIATE
-    rng = np.random.default_rng(config.seed)
+    key = (ROLES.index("chain"), chain)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
     x = start.copy()
     log_p = log_density(x)
     chol = harness._proposal_cholesky(log_density, start)
     scale = 2.38 / np.sqrt(d)
     draws = np.empty((d, config.iterations))
     total_steps = config.burnin + config.iterations * config.thin
+    block = harness.RANDOM_BLOCK
     accept_sum = 0.0
     for k in range(total_steps):
-        step = scale * (chol @ rng.standard_normal(d))
-        proposal = x + step
+        if k % block == 0:
+            size = min(block, total_steps - k)
+            steps = rng.standard_normal((size, d)) @ chol.T
+            uniforms = rng.uniform(size=size)
+        proposal = x + scale * steps[k % block]
         log_p_prop = log_density(proposal)
         if log_p_prop == -math.inf:
             accept_prob = 0.0
         else:
-            accept_prob = min(1.0, np.exp(min(0.0, log_p_prop - log_p)))
-            if rng.uniform() < accept_prob:
+            accept_prob = math.exp(min(0.0, log_p_prop - log_p))
+            if uniforms[k % block] < accept_prob:
                 x = proposal
                 log_p = log_p_prop
         if k < config.burnin:
-            scale *= np.exp((k + 1.0) ** -0.6 * (accept_prob - target))
+            scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
         else:
             kept = k - config.burnin
             if kept % config.thin == config.thin - 1:
@@ -111,7 +121,7 @@ def reference_gamma_log_posterior(y):
         alpha = mean * mean / var
         beta = mean / var
         return (
-            n * (alpha * np.log(beta) - math.lgamma(alpha))
+            n * (alpha * math.log(beta) - math.lgamma(alpha))
             + (alpha - 1.0) * sum_log_y
             - beta * sum_y
         )
@@ -155,7 +165,10 @@ class TestBitwiseAgainstReference:
         (_gamma_shard, MhConfig(iterations=300, burnin=200, seed=67, thin=3)),
         (_gaussian(3), MhConfig(iterations=600, burnin=0, seed=68)),
         (_gaussian(1), MhConfig(iterations=600, burnin=200, seed=69)),
-    ], ids=["logistic-shard", "gamma-shard", "inf-region", "thin-3", "burnin-0", "d-1"])
+        # Three blocks and 7 steps: the burn-in ends inside the first block.
+        (_gaussian(2), MhConfig(iterations=harness.RANDOM_BLOCK, burnin=7, seed=71, thin=3)),
+    ], ids=["logistic-shard", "gamma-shard", "inf-region", "thin-3", "burnin-0", "d-1",
+            "three-blocks-and-7"])
     def test_draws_and_rate_equal_reference(self, problem, config):
         log_density, reference_density, start = problem()
         with warnings.catch_warnings():
@@ -241,13 +254,26 @@ class TestSimulateLogistic:
 
 class TestLogisticPosterior:
     def test_posterior_covers_truth_on_one_shard(self):
+        # The chain against the exact posterior's Laplace approximation
+        # N(mode, I(mode)^-1): each mean within half a posterior sd of the
+        # mode and each sd within 0.8-1.25 times the Laplace one.  Then the truth
+        # inside the chain's 99.9% joint region, whose squared Mahalanobis
+        # radius is the chi-square(5) quantile 20.52: a box of five 3 sd
+        # intervals misses a true value for about 1.3% of data sets.
         rows = simulate_logistic_data(10000, BETA_REFERENCE, seed=5)
         config = MhConfig(iterations=4000, burnin=500, seed=6)
         draws, _ = _logistic_chain(rows, config)
         assert draws.shape == (5, 4000)
-        mean = draws.mean(axis=1)
-        sd = draws.std(axis=1, ddof=1)
-        assert np.all(np.abs(mean - BETA_REFERENCE) < 3.0 * sd)
+        x, y = rows[:, 1:], rows[:, 0]
+        mode = _logistic_mode(x, y)
+        p = _expit(x @ mode)
+        laplace_sd = np.sqrt(np.diag(np.linalg.inv((x.T * (p * (1.0 - p))) @ x)))
+        mean, cov = draws.mean(axis=1), np.cov(draws)
+        assert np.all(np.abs(mean - mode) < 0.5 * laplace_sd)
+        sd_ratio = np.sqrt(np.diag(cov)) / laplace_sd
+        assert np.all((0.8 < sd_ratio) & (sd_ratio < 1.25))
+        miss = BETA_REFERENCE - mean
+        assert miss @ np.linalg.solve(cov, miss) < 20.52
 
     def test_disjoint_shards_differ_but_both_cover(self):
         rows = simulate_logistic_data(10000, BETA_REFERENCE, seed=7)
@@ -393,6 +419,52 @@ class TestRunChains:
                 run_chains("gamma", rows, 1, self.CONFIG)
 
 
+class InProcessPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs every task here."""
+
+    def __init__(self, workers, mp_context=None, initializer=None, initargs=()):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestStreamIndependence:
+    def test_no_two_roles_share_a_stream(self, monkeypatch):
+        # Every generator a harness-to-combine run makes, by its first
+        # words: data, shard cut, chains 0..M, shuffle machines 0..M-1 and
+        # the DPE, under seeds s and s + k for k = 1..5.  The chains run
+        # in this process, so that their generators are recorded too.
+        make_rng = np.random.default_rng
+        words = []
+
+        def recording_rng(seed):
+            words.append(tuple(make_rng(seed).bit_generator.random_raw(2).tolist()))
+            return make_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_blocks", None)
+        M, seeds = 3, range(1, 7)
+        for seed in seeds:
+            rows = simulate_gamma_data(300, 4.0, 2.0, seed)
+            config = MhConfig(iterations=200, burnin=50, seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonConvergenceWarning)
+                bundle, _, _ = run_chains("gamma", rows, M, config)
+            semiparametric_dpe(shuffle_within_machines(bundle, seed), DpeConfig(seed=seed))
+        assert len(words) == len(seeds) * (1 + 1 + (M + 1) + M + 1)
+        assert len(set(words)) == len(words)
+
+
 class TestSimulateGamma:
     def test_unit_mean_when_shape_equals_rate(self):
         n = 50000
@@ -514,22 +586,23 @@ class TestAdaptiveRandomWalk:
         with pytest.warns(NonConvergenceWarning):
             adaptive_random_walk(log_target, np.ones(1), config)
 
-    def test_uniform_drawn_only_for_finite_proposals(self, monkeypatch):
-        # A proposal with log density -inf is rejected without a uniform
-        # draw, so it leaves the chain's random stream where it was.
+    def test_every_step_spends_one_normal_row_and_one_uniform(self, monkeypatch):
+        # A proposal with log density -inf spends its uniform unused, so the
+        # randomness of step k is fixed by k alone, drawn one block at a time.
         make_rng = np.random.default_rng
 
         class CountingRng:
             def __init__(self, seed):
                 self.rng = make_rng(seed)
-                self.uniforms = 0
+                self.sizes = []
 
             def standard_normal(self, size):
+                self.sizes.append(("normal", size))
                 return self.rng.standard_normal(size)
 
-            def random(self):
-                self.uniforms += 1
-                return self.rng.random()
+            def random(self, size):
+                self.sizes.append(("uniform", size))
+                return self.rng.random(size)
 
         rngs = []
 
@@ -544,12 +617,37 @@ class TestAdaptiveRandomWalk:
             values.append(-0.5 * float(x @ x) if x[0] < 0.5 else -np.inf)
             return values[-1]
 
-        config = MhConfig(iterations=300, burnin=100, seed=28)
+        block = harness.RANDOM_BLOCK
+        config = MhConfig(iterations=block, burnin=100, seed=28)
         adaptive_random_walk(log_target, np.zeros(2), config)
         proposals = np.array(values[-(config.burnin + config.iterations):])
-        finite = np.isfinite(proposals).sum()
-        assert 0 < finite < proposals.size
-        assert rngs[0].uniforms == finite
+        assert 0 < np.isfinite(proposals).sum() < proposals.size
+        assert rngs[0].sizes == [("normal", (block, 2)), ("uniform", block),
+                                 ("normal", (100, 2)), ("uniform", 100)]
+
+    def test_random_blocks_do_not_grow_with_the_chain(self):
+        # Burn-in keeps no draw, so what a longer chain could add is its
+        # random numbers: at most two blocks of them are live at once (the
+        # next is drawn before the last is freed), whatever the length.
+        # All 40 blocks at once would take 40 times one block.  The first
+        # (warm-up) run also allocates one-off caches.
+        def log_target(x):
+            return -0.5 * float(x @ x)
+
+        peaks = []
+        for blocks in (2, 2, 40):
+            config = MhConfig(iterations=2, burnin=blocks * harness.RANDOM_BLOCK, seed=29)
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NonConvergenceWarning)
+                    adaptive_random_walk(log_target, np.zeros(3), config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block_bytes = harness.RANDOM_BLOCK * 3 * 8
+        assert peaks[1] >= block_bytes
+        assert peaks[2] <= peaks[1] + block_bytes // 8
 
     def test_nan_proposal_rejected(self):
         # min(0, nan) is 0, so a NaN log density once passed for an

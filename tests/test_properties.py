@@ -1,5 +1,5 @@
 """Property tests over random shapes: machine moments, affine maps,
-machine order, the bundle file round trip, row partitioning and
+machine order, shifts, the bundle file round trip, row partitioning and
 malformed bundle files.
 
 For the statistical properties Hypothesis picks the shapes and a seed,
@@ -121,6 +121,39 @@ def test_linear_combiners_ignore_machine_order(d, T, M, seed, data):
         expected = combine(bundle).values
         np.testing.assert_allclose(combine(permuted).values, expected,
                                    rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 4),
+    T=st.integers(2, 40),
+    M=st.integers(2, 5),
+    seed=seeds,
+    log_shift=st.floats(0.0, 12.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_linear_combiners_move_with_a_shift(d, T, M, seed, log_shift, sign):
+    # x -> x + a with |a| up to 1e12 moves each linear combiner's output by
+    # a, to within 8 ulps of the shifted draws, plus 1e-12 for the
+    # combiner's own rounding on these correlated, unit-scale draws.  The
+    # unshifted bundle is the shifted one less a, which is exact, so both
+    # hold the same points.  Solving on uncentred draws, consensus-cov was
+    # off by up to about 500 ulps here.
+    T = max(T, 4 * d + 4)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    r, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    mix = (q * rng.uniform(0.05, 1.0, size=d)) @ r
+    draws = (rng.uniform(0.5, 2.0, size=(1, 1, M)) * rng.standard_normal((d, T, M))
+             + rng.standard_normal((d, 1, M)))
+    shift = sign * 10.0**log_shift
+    shifted = np.einsum("ij,jtm->itm", mix, draws) + shift
+    bound = 8.0 * np.spacing(np.abs(shifted).max()) + 1e-12
+
+    for combine in (sample_average, consensus_independent, consensus_covariance):
+        expected = combine(SubposteriorBundle(shifted - shift)).values + shift
+        got = combine(SubposteriorBundle(shifted)).values
+        assert np.abs(got - expected).max() <= bound, combine.__name__
 
 
 @settings(deadline=None, max_examples=60)
