@@ -3,8 +3,8 @@
 Three subcommands cover the pipeline:
 
 * ``harness``  - simulate data, shard it, run one chain per shard plus a
-  full-data chain (in parallel worker processes), and write the bundle
-  + manifests.
+  full-data chain (in parallel worker processes, each writing its own
+  chain file), and write the manifests.
 * ``combine``  - read a bundle manifest and write combined samples.
 * ``metric``   - score combined samples against a full-data chain with
   per-parameter relative L2 distances.
@@ -34,7 +34,9 @@ from .core import CombinedSamples, shuffle_within_machines
 from .density import density_pair, relative_l2_distance
 from .errors import ChainCombineError, DimensionMismatch
 from .harness import MhConfig, run_chains, simulate_gamma_data, simulate_logistic_data
-from .io import read_bundle, read_samples, write_bundle, write_matrix, write_samples
+# write_bundle is not called here: perfbench writes its wide-consensus inputs through it.
+from .io import (machine_file_names, read_bundle, read_samples, write_bundle, write_manifest,
+                 write_matrix, write_samples)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,10 +215,15 @@ def _write_density_pair(stem, index, full_samples, combined_samples):
 
 
 def run_harness(args):
-    """Simulate, shard, sample shards and the full data, write everything."""
-    # First, so that a directory that cannot be made fails before sampling.
+    """Simulate, shard, sample shards and the full data, write everything:
+    the chain workers write the chain files, and the manifest comes last."""
+    # First, so that a directory that cannot be made fails before sampling,
+    # and a run that fails part-way leaves no record naming old and new files.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path, record_path = out_dir / "bundle.json", out_dir / "run.json"
+    for path in (manifest_path, record_path):
+        path.unlink(missing_ok=True)
     if args.model == "logistic":
         rows = simulate_logistic_data(args.n, LOGISTIC_BETA, seed=args.seed)
         truth = {"beta_true": list(LOGISTIC_BETA)}
@@ -225,12 +232,9 @@ def run_harness(args):
         truth = {"alpha_true": args.alpha, "beta_true": args.beta}
     config = MhConfig(iterations=args.iters, burnin=args.burnin, seed=args.seed,
                       thin=args.thin)
-    bundle, full_chain, rates = run_chains(args.model, rows, args.shards, config)
-
-    manifest_path = out_dir / "bundle.json"
-    write_bundle(bundle, manifest_path, seed=args.seed)
     full_path = out_dir / "full_chain.csv"
-    write_samples(full_path, CombinedSamples(full_chain))
+    paths = [*(out_dir / name for name in machine_file_names(args.shards)), full_path]
+    bundle, _, rates = run_chains(args.model, rows, args.shards, config, paths)
 
     run_record = {
         "created_by": f"chaincombine {__version__}",
@@ -246,9 +250,10 @@ def run_harness(args):
         "acceptance_rates": rates,
         **truth,
     }
-    with open(out_dir / "run.json", "w") as handle:
+    with open(record_path, "w") as handle:
         json.dump(run_record, handle, indent=2)
         handle.write("\n")
+    write_manifest(manifest_path, bundle.d, bundle.T, bundle.M, seed=args.seed)
     return EXIT_OK
 
 

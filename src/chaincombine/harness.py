@@ -32,6 +32,7 @@ from .errors import (
     SingularCovariance,
     TooManyShards,
 )
+from .io import write_matrix
 
 GAMMA_PRIOR_LO = 1e-4
 GAMMA_PRIOR_HI = 1e4
@@ -111,22 +112,19 @@ def simulate_gamma_data(n, alpha, beta, seed):
     return _stream(seed, "data").gamma(shape=alpha, scale=1.0 / beta, size=(n, 1))
 
 
-def partition_rows(data, n_shards, seed):
-    """Randomly split (n, k) data rows into ``n_shards`` disjoint blocks.
+def _cut(n, shards, seed):
+    """Each shard's row indices: one permutation of n by the ``"cut"``
+    stream of ``seed``, cut into runs whose lengths differ by at most one."""
+    if not 1 <= shards <= n:
+        raise TooManyShards(f"cannot split {n} rows into {shards} shards")
+    return np.array_split(_stream(seed, "cut").permutation(n), shards)
 
-    Rows are permuted once, by the ``"cut"`` stream of ``seed``, then cut
-    into contiguous blocks whose sizes differ by at most one: the shards
-    are views of that one permuted copy, never of the input.  The union
-    of the shards is exactly the input row multiset.
-    """
+
+def partition_rows(data, n_shards, seed):
+    """Randomly split (n, k) data rows into ``n_shards`` disjoint blocks,
+    copies of the rows :func:`_cut` gives each: their union is the input."""
     data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    if n_shards < 1:
-        raise TooManyShards("shard count must be >= 1")
-    if n_shards > n:
-        raise TooManyShards(f"cannot split {n} rows into {n_shards} shards")
-    perm = _stream(seed, "cut").permutation(n)
-    return np.array_split(data[perm], n_shards)
+    return [data[index] for index in _cut(data.shape[0], n_shards, seed)]
 
 
 def gaussian_product_oracle(means, covs):
@@ -225,8 +223,12 @@ def adaptive_random_walk(log_density, start, config, chain=0):
     for first in range(0, total, RANDOM_BLOCK):
         size = min(RANDOM_BLOCK, total - first)
         steps = rng.standard_normal((size, d)) @ chol.T
+        if first >= burnin:
+            steps *= scale
         for k, step, u in zip(range(first, first + size), steps, rng.random(size).tolist()):
-            proposal = x + scale * step
+            # Steps are scaled a block at a time once the scale is frozen (below);
+            # the iterator yields views, so those steps arrive scaled.
+            proposal = x + scale * step if k < burnin else x + step
             log_p_prop = log_density(proposal)
             # False for -inf and for NaN alike: neither proposal has mass.
             if log_p_prop > -math.inf:
@@ -239,6 +241,8 @@ def adaptive_random_walk(log_density, start, config, chain=0):
                 accept_prob = 0.0
             if k < burnin:
                 scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
+                if k == burnin - 1:  # the scale is frozen from here on
+                    steps[k + 1 - first:] *= scale
             else:
                 accept_sum += accept_prob
                 if (k - burnin) % thin == thin - 1:
@@ -365,24 +369,28 @@ def _gamma_chain(rows, config, chain=0):
     return np.vstack([mean * mean / var, mean / var]), rate
 
 
-_blocks = None  # a worker's data blocks, set by run_chains' pool initializer
+_data = None  # a worker's (rows, cut), set by run_chains' pool initializer
 
 
-def _keep_blocks(blocks):
-    global _blocks
-    _blocks = blocks
+def _keep_data(rows, cut):
+    global _data
+    _data = rows, cut
 
 
-def _sample_rows(model, k, config):
-    """Chain ``k`` on data block ``k``, in a worker process.
-
-    Returns the draws and the post-burn-in acceptance rate with the
-    warnings the chain raised, so that the parent can re-issue them.
+def _sample_rows(model, k, config, path):
+    """Chain ``k`` in a worker process, on the shard it gathers or, past
+    the last shard, on all the rows; its (T, d) draws go to ``path``
+    unless that is None.  Returns the draws and the post-burn-in
+    acceptance rate with the warnings the chain raised, so that the
+    parent can re-issue them.
     """
+    rows, cut = _data
     chain = _logistic_chain if model == "logistic" else _gamma_chain
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        draws, rate = chain(_blocks[k], config, k)
+        draws, rate = chain(rows[cut[k]] if k < len(cut) else rows, config, k)
+    if path is not None:
+        write_matrix(path, draws.T)
     return draws, rate, [w.message for w in caught]
 
 
@@ -392,24 +400,28 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def run_chains(model, rows, shards, config):
+def run_chains(model, rows, shards, config, paths=None):
     """Shard the data rows and sample every shard and the full data.
 
     ``model`` is ``"logistic"`` (rows ``[y, x_1, ..., x_d]``) or
     ``"gamma"`` (rows ``[y]``), as the simulators return them.  The rows
-    are cut into ``shards`` blocks by ``partition_rows(rows, shards,
+    are cut into ``shards`` blocks as by ``partition_rows(rows, shards,
     config.seed)``, and chain ``m`` runs ``config`` on the ``("chain",
     m)`` stream of ``config.seed``: the shards in order, then the
     full-data chain.  The chains share nothing, so they run in forked
-    worker processes, one per usable core at most, largest block first:
-    the full-data chain is the longest.  The workers inherit the blocks
-    instead of a pickled copy per task: on 10^6 logistic rows (48 MB,
-    2-core Linux box) the parent's peak RSS stays at 138 MiB, not 228,
-    and the workers' at 234 MiB, not 280.  Without fork, each worker
-    receives every block once.  The draws equal a
+    worker processes, one per usable core at most, largest block first.
+    The workers inherit the rows and the cut and gather their own
+    shards: on 10^6 logistic rows (48 MB, 2-core Linux box) the parent's
+    peak RSS stays at the 137 MiB the simulation reached, and the
+    workers' is 196 MiB (280 with a pickled block per task, 234 with a
+    shuffled copy in the parent).  Without fork, each worker receives the
+    rows once.  Given ``paths``, one per chain, each worker writes its
+    chain's (T, d) draws there by :func:`io.write_matrix` as soon as the
+    chain ends, as separate machines would.  The draws equal a
     one-chain-at-a-time loop bit for bit, whatever the core count.  An
-    error raised in a worker reaches the caller with its own type, and
-    the chains' warnings are re-issued here in chain order.
+    error raised in a worker, a failed write too, reaches the caller
+    with its own type, and the chains' warnings are re-issued here in
+    chain order.
 
     Returns ``(bundle, full_chain, rates)``: the
     :class:`SubposteriorBundle` of the shard chains, the (d, T)
@@ -418,20 +430,24 @@ def run_chains(model, rows, shards, config):
     """
     if model not in ("logistic", "gamma"):
         raise ValueError(f"unknown model {model!r}")
+    if paths is not None and len(paths) != shards + 1:
+        raise ValueError(f"{shards} shards need {shards + 1} paths, got {len(paths)}")
     rows = np.asarray(rows, dtype=float)
-    blocks = [*partition_rows(rows, shards, config.seed), rows]
-    order = sorted(range(len(blocks)), key=lambda k: -blocks[k].shape[0])
+    cut = _cut(rows.shape[0], shards, config.seed)
+    sizes = [*map(len, cut), rows.shape[0]]
+    order = sorted(range(len(sizes)), key=lambda k: -sizes[k])
     # Fork, not spawn: the pool lives for one call, and a spawned worker
     # would pay a fresh interpreter and numpy import, about 0.3 s, each call.
     # A forked worker inherits the initializer's arguments unpickled, so it
-    # reads the blocks copy-on-write; without fork, each unpickles them once.
+    # reads the rows copy-on-write; without fork, each unpickles them once.
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
-    workers = min(_usable_cores(), len(blocks))
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_keep_blocks,
-                             initargs=(blocks,)) as pool:
-        futures = {k: pool.submit(_sample_rows, model, k, config) for k in order}
-        results = [futures[k].result() for k in range(len(blocks))]
+    workers = min(_usable_cores(), len(sizes))
+    paths = paths or [None] * len(sizes)
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_keep_data,
+                             initargs=(rows, cut)) as pool:
+        futures = {k: pool.submit(_sample_rows, model, k, config, paths[k]) for k in order}
+        results = [futures[k].result() for k in range(len(sizes))]
     chains, rates = [], []
     for draws, rate, caught in results:
         for message in caught:

@@ -102,30 +102,34 @@ def _diagnose_matrix(path):
     raise ParseError(f"{path}: file could not be parsed as a numeric matrix")
 
 
-def write_bundle(bundle, manifest_path, seed=None):
-    """Write a bundle as one matrix file per machine plus a manifest.
+def machine_file_names(M):
+    """The machine file names of an M-machine bundle, by machine:
+    ``machine_<m>.csv`` for m from 1, zero-padded to the width of M."""
+    pad = len(str(M))
+    return [f"machine_{m + 1:0{pad}d}.csv" for m in range(M)]
 
-    Machine files land next to the manifest as ``machine_<m>.csv`` and
-    are recorded in the manifest by relative name.  The manifest holds
-    d, T, M, ``machine_files`` and ``created_by``, then ``seed`` when one
-    is given.
-    """
-    manifest_path = Path(manifest_path)
-    directory = manifest_path.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    pad = len(str(bundle.M))
-    for m in range(bundle.M):
-        name = f"machine_{m + 1:0{pad}d}.csv"
-        write_matrix(directory / name, bundle.values[:, :, m].T)
-        names.append(name)
-    manifest = {"d": bundle.d, "T": bundle.T, "M": bundle.M, "machine_files": names,
+
+def write_manifest(manifest_path, d, T, M, seed=None):
+    """Write the manifest of a (d, T, M) bundle whose machine files, named
+    by :func:`machine_file_names`, lie next to it.  It holds d, T, M,
+    ``machine_files`` and ``created_by``, then ``seed`` when one is given."""
+    manifest = {"d": d, "T": T, "M": M, "machine_files": machine_file_names(M),
                 "created_by": f"chaincombine {__version__}"}
     if seed is not None:
         manifest["seed"] = seed
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
+
+
+def write_bundle(bundle, manifest_path, seed=None):
+    """Write a bundle as one matrix file per machine plus a manifest
+    (:func:`write_manifest`), the machine files next to it."""
+    manifest_path = Path(manifest_path)
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    for m, name in enumerate(machine_file_names(bundle.M)):
+        write_matrix(manifest_path.parent / name, bundle.values[:, :, m].T)
+    write_manifest(manifest_path, bundle.d, bundle.T, bundle.M, seed)
 
 
 def read_bundle(manifest_path):

@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 import chaincombine
-from chaincombine import SubposteriorBundle
-from chaincombine.cli import main
-from chaincombine.io import read_bundle, read_matrix, write_bundle
+from chaincombine import (
+    CombinedSamples,
+    MhConfig,
+    SubposteriorBundle,
+    harness,
+    run_chains,
+    simulate_gamma_data,
+    simulate_logistic_data,
+)
+from chaincombine.cli import LOGISTIC_BETA, main
+from chaincombine.io import read_bundle, read_matrix, write_bundle, write_samples
 
 
 def run_python(*args):
@@ -335,6 +343,41 @@ class TestHarnessCommand:
         main(args + ["--out-dir", str(tmp_path / "two")])
         for name in ("bundle.json", "machine_1.csv", "machine_2.csv", "full_chain.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    @pytest.mark.parametrize("model", ["gamma", "logistic"])
+    def test_worker_written_files_equal_the_returned_arrays(self, tmp_path, monkeypatch, model):
+        # Two workers write the machine files and the full chain: the bytes
+        # write_bundle and write_samples give the arrays run_chains returns.
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        assert main(["harness", "--model", model, "--n", "1500", "--shards", "3",
+                     "--iters", "200", "--burnin", "50", "--seed", "9",
+                     "--out-dir", str(tmp_path / "cli")]) == 0
+        rows = (simulate_logistic_data(1500, LOGISTIC_BETA, seed=9) if model == "logistic"
+                else simulate_gamma_data(1500, 4.0, 2.0, seed=9))
+        bundle, full, _ = run_chains(model, rows, 3, MhConfig(iterations=200, burnin=50, seed=9))
+        write_bundle(bundle, tmp_path / "arrays" / "bundle.json", seed=9)
+        write_samples(tmp_path / "arrays" / "full_chain.csv", CombinedSamples(full))
+        for name in ("bundle.json", "machine_1.csv", "machine_2.csv", "machine_3.csv",
+                     "full_chain.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "arrays" / name).read_bytes()
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        # A rerun whose worker cannot write machine_2.csv, after other
+        # workers rewrote theirs: exit 2 naming that path, and no manifest
+        # or run record left to name a mix of the two runs' files.
+        argv = ["-m", "chaincombine", "harness", "--model", "gamma", "--n", "1000",
+                "--shards", "3", "--iters", "100", "--burnin", "20", "--out-dir", str(tmp_path)]
+        assert main(argv[2:]) == 0
+        blocker = tmp_path / "machine_2.csv"
+        blocker.unlink()
+        blocker.mkdir()
+        rerun = run_python(*argv, "--seed", "1")
+        assert rerun.returncode == 2
+        assert rerun.stderr.startswith("error: IsADirectoryError: ")
+        assert str(blocker) in rerun.stderr and "Traceback" not in rerun.stderr
+        assert not (tmp_path / "bundle.json").exists()
+        assert not (tmp_path / "run.json").exists()
 
     def test_end_to_end_pipeline(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -167,8 +167,12 @@ class TestBitwiseAgainstReference:
         (_gaussian(1), MhConfig(iterations=600, burnin=200, seed=69)),
         # Three blocks and 7 steps: the burn-in ends inside the first block.
         (_gaussian(2), MhConfig(iterations=harness.RANDOM_BLOCK, burnin=7, seed=71, thin=3)),
+        # The scale freezes on a block edge, then 5 steps past one.
+        (_gaussian(2), MhConfig(iterations=300, burnin=harness.RANDOM_BLOCK, seed=72)),
+        (_gaussian(2), MhConfig(iterations=300, burnin=harness.RANDOM_BLOCK + 5, seed=73,
+                                thin=3)),
     ], ids=["logistic-shard", "gamma-shard", "inf-region", "thin-3", "burnin-0", "d-1",
-            "three-blocks-and-7"])
+            "three-blocks-and-7", "burnin-on-block-edge", "burnin-past-block-edge"])
     def test_draws_and_rate_equal_reference(self, problem, config):
         log_density, reference_density, start = problem()
         with warnings.catch_warnings():
@@ -363,21 +367,42 @@ class TestRunChains:
             monkeypatch.setattr(harness, "_usable_cores", lambda: workers)
             self.assert_matches_serial("gamma", _gamma_chain, rows, 4, self.CONFIG)
 
-    def test_spawned_workers_give_the_forked_bytes(self, monkeypatch):
+    def test_spawned_workers_give_the_forked_bytes(self, monkeypatch, tmp_path):
         # The path of platforms without fork: each worker unpickles the
-        # blocks once, from the pool's initializer arguments.
+        # rows and the cut once, from the pool's initializer arguments.
         rows = simulate_gamma_data(2000, 4.0, 2.0, seed=46)
-        forked = run_chains("gamma", rows, 3, self.CONFIG)
+        names = ["shard_1.csv", "shard_2.csv", "shard_3.csv", "full.csv"]
+        for method in ("fork", "spawn"):
+            (tmp_path / method).mkdir()
+        forked = run_chains("gamma", rows, 3, self.CONFIG, [tmp_path / "fork" / n for n in names])
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: spawn)
-        spawned = run_chains("gamma", rows, 3, self.CONFIG)
+        spawned = run_chains("gamma", rows, 3, self.CONFIG, [tmp_path / "spawn" / n for n in names])
         assert spawned[0].values.tobytes() == forked[0].values.tobytes()
         assert spawned[1].tobytes() == forked[1].tobytes()
         assert spawned[2] == forked[2]
+        for name in names:
+            assert (tmp_path / "spawn" / name).read_bytes() == \
+                (tmp_path / "fork" / name).read_bytes()
+
+    def test_parent_holds_no_shard(self):
+        # The workers gather their own shards from the inherited rows: the
+        # parent allocates the permutation (one sixth of the rows here) and
+        # no permuted copy of the rows.
+        rows = simulate_logistic_data(100_000, BETA_REFERENCE, seed=48)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonConvergenceWarning)
+                run_chains("logistic", rows, 4, MhConfig(iterations=20, burnin=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * rows.nbytes
 
     def test_parent_pickles_no_block(self):
-        # The parent allocates the permuted copy of the rows and the
-        # permutation (one sixth of the rows here), and no pickled block.
+        # No pickled block in the parent; test_parent_holds_no_shard
+        # bounds the same peak more tightly.
         rows = simulate_logistic_data(100_000, BETA_REFERENCE, seed=48)
         tracemalloc.start()
         try:
@@ -452,7 +477,7 @@ class TestStreamIndependence:
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(harness, "_blocks", None)
+        monkeypatch.setattr(harness, "_data", None)
         M, seeds = 3, range(1, 7)
         for seed in seeds:
             rows = simulate_gamma_data(300, 4.0, 2.0, seed)
