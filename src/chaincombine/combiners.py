@@ -53,8 +53,11 @@ def _pool(bundle, weights):
     a reference point ``c``, as ``c + pool(x_m - c)``, so that the rounding
     follows their spread, not their distance from the origin.  ``c`` is
     the first draws pooled as they are: near every machine that carries
-    weight, so no such machine's digits are lost to the subtraction.
+    weight, so no such machine's digits are lost to the subtraction.  One
+    machine's draws are returned as they are, whatever its weights.
     """
+    if bundle.M == 1:
+        return CombinedSamples(bundle.values[:, :, 0])
     diag = np.diagonal(weights, axis1=1, axis2=2)
     norm = weights / np.abs(diag).max(axis=0)[:, None]
     values, total = bundle.values, norm.sum(axis=0)
@@ -73,8 +76,6 @@ def sample_average(bundle):
     Component covariances are ignored entirely; every machine gets the
     same weight.
     """
-    if bundle.M == 1:
-        return CombinedSamples(bundle.values[:, :, 0])
     return _pool(bundle, np.broadcast_to(np.eye(bundle.d), (bundle.M, bundle.d, bundle.d)))
 
 
@@ -130,8 +131,6 @@ def consensus_independent(bundle):
     Each component of each machine is weighted by the reciprocal of that
     machine's sample variance for the component.
     """
-    if bundle.M == 1:
-        return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
     _require_positive_variances(covs)
     # Reciprocal variances scaled per component by an exact power of two, so
@@ -148,8 +147,6 @@ def consensus_covariance(bundle):
     pooled draw solves (sum of precisions) x = (precision-weighted sum of
     draws), so no matrix is inverted in the apply step.
     """
-    if bundle.M == 1:
-        return CombinedSamples(bundle.values[:, :, 0])
     _, covs = machine_moments(bundle)
     _require_positive_variances(covs)
     return _pool(bundle, spd_inverse(covs))

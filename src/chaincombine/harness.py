@@ -16,10 +16,8 @@ independent oracle the combiners are tested against.
 """
 
 import math
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,13 +409,11 @@ def run_chains(model, rows, shards, config, paths=None):
     full-data chain.  The chains share nothing, so they run in forked
     worker processes, one per usable core at most, largest block first.
     The workers inherit the rows and the cut and gather their own
-    shards: on 10^6 logistic rows (48 MB, 2-core Linux box) the parent's
-    peak RSS stays at the 137 MiB the simulation reached, and the
-    workers' is 196 MiB (280 with a pickled block per task, 234 with a
-    shuffled copy in the parent).  Without fork, each worker receives the
-    rows once.  Given ``paths``, one per chain, each worker writes its
-    chain's (T, d) draws there by :func:`io.write_matrix` as soon as the
-    chain ends, as separate machines would.  The draws equal a
+    shards, so the parent holds no shard and no row passes through a
+    pipe.  Without fork, each worker receives the rows once.  Given
+    ``paths``, one per chain, each worker writes its chain's (T, d)
+    draws there by :func:`io.write_matrix` as soon as the chain ends, as
+    separate machines would.  The draws equal a
     one-chain-at-a-time loop bit for bit, whatever the core count.  An
     error raised in a worker, a failed write too, reaches the caller
     with its own type, and the chains' warnings are re-issued here in
@@ -428,6 +424,11 @@ def run_chains(model, rows, shards, config, paths=None):
     full-data draws, and the post-burn-in acceptance rates, shards first
     and the full-data chain last.
     """
+    # Imported here, the one place that forks: most callers of the package
+    # combine draws sampled elsewhere and never start a pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if model not in ("logistic", "gamma"):
         raise ValueError(f"unknown model {model!r}")
     if paths is not None and len(paths) != shards + 1:

@@ -41,6 +41,16 @@ def test_import_loads_numpy_only():
     assert result.stdout.strip() == "[]"
 
 
+def test_import_starts_no_process_pool():
+    # Only run_chains forks, and it imports the pool modules itself, so
+    # combine, metric and library callers with their own draws skip them.
+    code = ("import sys, chaincombine, chaincombine.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def bundle_manifest(tmp_path):
     rng = np.random.default_rng(0)

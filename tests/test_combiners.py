@@ -258,6 +258,17 @@ class TestSharedProperties:
     @pytest.mark.parametrize(
         "combine", [consensus_independent, consensus_covariance, semiparametric_dpe]
     )
+    def test_one_machine_constant_component_refused(self, combine):
+        # One machine is pooled as it is, but its Gaussian fit is still
+        # checked: a constant component has no precision at any M.
+        values = np.random.default_rng(15).standard_normal((2, 40, 1))
+        values[1] = 0.7
+        with pytest.raises(DegenerateChain, match="machine 0 component 1 "):
+            combine(SubposteriorBundle(values))
+
+    @pytest.mark.parametrize(
+        "combine", [consensus_independent, consensus_covariance, semiparametric_dpe]
+    )
     def test_underflowed_variance_refused(self, combine):
         # Machine 2's component 1 is not constant, but its draws are so small
         # that their fitted variance underflows to exactly zero.

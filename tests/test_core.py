@@ -39,6 +39,7 @@ class TestSubposteriorBundle:
 
     def test_values_are_immutable(self):
         bundle = SubposteriorBundle(np.zeros((1, 2, 1)))
+        assert repr(bundle) == "SubposteriorBundle(d=1, T=2, M=1)"
         with pytest.raises(ValueError):
             bundle.values[0, 0, 0] = 1.0
 
@@ -64,6 +65,7 @@ class TestCombinedSamples:
         raw = np.zeros((2, 3))
         combined = CombinedSamples(raw)
         assert (combined.d, combined.T) == (2, 3)
+        assert repr(combined) == "CombinedSamples(d=2, T=3)"
         with pytest.raises(ValueError):
             combined.values[0, 0] = 1.0
         raw[0, 0] = 1.0

@@ -98,7 +98,7 @@ class TestSilvermanBandwidth:
     # copies of 0.7.
     @pytest.mark.parametrize("value", [3.0, 0.3, 2.1, 0.7])
     def test_zero_spread_rejected(self, value):
-        for size in (100, 500):
+        for size in (1, 100, 500):
             with pytest.raises(DegenerateChain):
                 silverman_bandwidth(np.full(size, value))
 
@@ -148,6 +148,10 @@ class TestKde1d:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(NonPositiveBandwidth):
             kde_1d([0.0, 1.0], np.linspace(-1, 1, 8), 0.0)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(DegenerateChain, match="at least 1 sample"):
+            kde_1d([], np.linspace(-1, 1, 8), 0.5)
 
     def test_mass_near_one_on_covering_grid(self):
         rng = np.random.default_rng(3)

@@ -199,6 +199,10 @@ class TestSimulateLogistic:
         y = simulate_logistic_data(n, np.zeros(5), seed=0)[:, 0]
         assert abs(y.mean() - 0.5) < 3.0 / np.sqrt(n)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            simulate_logistic_data(0, BETA_REFERENCE, seed=0)
+
     def test_mle_recovers_reference_coefficients(self):
         n = 100000
         rows = simulate_logistic_data(n, BETA_REFERENCE, seed=1)
@@ -376,7 +380,7 @@ class TestRunChains:
             (tmp_path / method).mkdir()
         forked = run_chains("gamma", rows, 3, self.CONFIG, [tmp_path / "fork" / n for n in names])
         spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method=None: spawn)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
         spawned = run_chains("gamma", rows, 3, self.CONFIG, [tmp_path / "spawn" / n for n in names])
         assert spawned[0].values.tobytes() == forked[0].values.tobytes()
         assert spawned[1].tobytes() == forked[1].tobytes()
@@ -400,19 +404,14 @@ class TestRunChains:
             tracemalloc.stop()
         assert peak < 0.5 * rows.nbytes
 
-    def test_parent_pickles_no_block(self):
-        # No pickled block in the parent; test_parent_holds_no_shard
-        # bounds the same peak more tightly.
-        rows = simulate_logistic_data(100_000, BETA_REFERENCE, seed=48)
-        tracemalloc.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonConvergenceWarning)
-                run_chains("logistic", rows, 4, MhConfig(iterations=20, burnin=0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * rows.nbytes
+    @pytest.mark.parametrize("model, paths, match", [
+        ("probit", None, "unknown model"),
+        ("gamma", ["a.csv", "b.csv"], "2 shards need 3 paths, got 2"),
+    ])
+    def test_bad_arguments_rejected(self, model, paths, match):
+        rows = simulate_gamma_data(100, 4.0, 2.0, seed=45)
+        with pytest.raises(ValueError, match=match):
+            run_chains(model, rows, 2, self.CONFIG, paths)
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([[1.0], [-2.0], [3.0]]), NonPositiveData),
@@ -476,7 +475,7 @@ class TestStreamIndependence:
             return make_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness, "_data", None)
         M, seeds = 3, range(1, 7)
         for seed in seeds:
@@ -501,6 +500,11 @@ class TestSimulateGamma:
         assert y.shape == (100000, 1)
         assert y.mean() == pytest.approx(2.0, abs=0.02)
         assert y.var() == pytest.approx(1.0, abs=0.03)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 2.0), (4.0, -1.0)])
+    def test_nonpositive_parameters_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be positive"):
+            simulate_gamma_data(100, alpha, beta, seed=14)
 
     def test_deterministic(self):
         a = simulate_gamma_data(100, 4.0, 2.0, seed=14)
@@ -696,3 +700,5 @@ class TestAdaptiveRandomWalk:
             MhConfig(iterations=1)
         with pytest.raises(ValueError):
             MhConfig(burnin=-1)
+        with pytest.raises(ValueError):
+            MhConfig(thin=0)
