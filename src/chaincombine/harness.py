@@ -105,6 +105,8 @@ def simulate_gamma_data(n, alpha, beta, seed):
     """Draw n observations from Gamma(alpha, beta) with rate beta, as
     the (n, 1) rows ``[y]`` that :func:`run_chains` shards, from the
     ``"data"`` stream of ``seed``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be positive")
     return _stream(seed, "data").gamma(shape=alpha, scale=1.0 / beta, size=(n, 1))

@@ -26,16 +26,8 @@ def direct_kde(samples, grid, bandwidth):
     return np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * bandwidth * np.sqrt(2.0 * np.pi))
 
 
-def direct_pair(full_samples, combined_samples):
-    """``density_pair``'s grid and bandwidths with the reference estimates."""
-    grid, _, _ = density_pair(full_samples, combined_samples)
-    return (grid,
-            direct_kde(full_samples, grid, silverman_bandwidth(full_samples)),
-            direct_kde(combined_samples, grid, silverman_bandwidth(combined_samples)))
-
-
-def direct_distance(full_samples, combined_samples):
-    grid, p_full, p_comb = direct_pair(full_samples, combined_samples)
+def l2_distance(grid, p_full, p_comb):
+    """``relative_l2_distance``'s trapezoid ratio, over given densities."""
     return float(np.sqrt(np.trapezoid((p_full - p_comb) ** 2, grid))
                  / np.sqrt(np.trapezoid(p_full**2, grid)))
 
@@ -164,18 +156,15 @@ class TestKde1d:
 
 class TestBinnedAgainstDirect:
     @pytest.mark.parametrize("shape, T", SHAPES_AND_SIZES)
-    def test_densities_within_1e_3_of_peak(self, shape, T):
+    def test_densities_and_distance_match_direct_sums(self, shape, T):
         for full, combined in scored_pairs(shape, T):
-            _, p_full, p_comb = density_pair(full, combined)
-            _, ref_full, ref_comb = direct_pair(full, combined)
+            grid, p_full, p_comb = density_pair(full, combined)
+            ref_full = direct_kde(full, grid, silverman_bandwidth(full))
+            ref_comb = direct_kde(combined, grid, silverman_bandwidth(combined))
             assert np.abs(p_full - ref_full).max() <= 1e-3 * ref_full.max()
             assert np.abs(p_comb - ref_comb).max() <= 1e-3 * ref_comb.max()
-
-    @pytest.mark.parametrize("shape, T", SHAPES_AND_SIZES)
-    def test_distance_within_1e_4(self, shape, T):
-        for full, combined in scored_pairs(shape, T):
             assert relative_l2_distance(full, combined) == pytest.approx(
-                direct_distance(full, combined), abs=1e-4)
+                l2_distance(grid, ref_full, ref_comb), abs=1e-4)
 
     def test_draws_beyond_both_grid_ends_add_their_tails(self):
         # A third of the draws lie off a grid that spans +-1 sd; each must

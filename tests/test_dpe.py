@@ -32,10 +32,6 @@ def scheduled_bandwidths(step, d, bandw, anneal=True):
 
 
 class TestBandwidthSchedule:
-    def test_annealed_values_d1(self):
-        assert scheduled_bandwidths(1, 1, [1.0])[0] == 1.0
-        np.testing.assert_allclose(scheduled_bandwidths(32, 1, [1.0])[0], 0.5, atol=1e-12)
-
     def test_no_anneal_is_constant(self):
         for step in (1, 7, 5000):
             np.testing.assert_array_equal(
@@ -75,13 +71,6 @@ class TestConfig:
 
 
 class TestSampler:
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(0)
-        bundle, _, _ = gaussian_subposteriors(rng, 2, 300, 3, scale=0.01)
-        a = semiparametric_dpe(bundle, DpeConfig(seed=5))
-        b = semiparametric_dpe(bundle, DpeConfig(seed=5))
-        np.testing.assert_array_equal(a.values, b.values)
-
     def test_output_shape_matches_input(self):
         rng = np.random.default_rng(1)
         bundle, _, _ = gaussian_subposteriors(rng, 2, 250, 4, scale=0.01)
@@ -382,30 +371,3 @@ class TestChainState:
         selected = bundle.values[:, indices, np.arange(bundle.M)]
         np.testing.assert_allclose(theta_bar, selected.mean(axis=1), rtol=1e-12)
 
-
-class TestAcceptanceRatio:
-    def test_common_log_constant_cancels(self):
-        # The accept/reject step uses only the difference of log weights, so
-        # shifting every log density by a shared baseline changes nothing up
-        # to float cancellation noise.
-        rng = np.random.default_rng(7)
-        log_cur = rng.normal(-50.0, 30.0, size=500)
-        log_prop = rng.normal(-50.0, 30.0, size=500)
-        for baseline in (1e3, -1e6):
-            shifted = (log_prop + baseline) - (log_cur + baseline)
-            np.testing.assert_allclose(shifted, log_prop - log_cur, atol=1e-8)
-
-    def test_denominator_baseline_shift_cancels_in_ratio(self):
-        rng = np.random.default_rng(8)
-        bundle, _, _ = gaussian_subposteriors(rng, 2, 100, 3, scale=0.01)
-        basis = _DpeBasis(bundle, np.ones(2))
-        k, c = basis.weight_terms(1.0)
-        (z_0, q_0, f_0), (z_1, q_1, f_1) = (
-            selected_sums(basis, np.array(idx)) for idx in ([0, 1, 2], [3, 1, 2])
-        )
-        baseline = 123.456
-        deltas = [
-            _log_ratio(z_0, z_1, z_0, q_1 - q_0, (f_1 + shift) - (f_0 + shift), k, c)
-            for shift in (0.0, baseline)
-        ]
-        np.testing.assert_allclose(deltas[0], deltas[1], atol=1e-9)
