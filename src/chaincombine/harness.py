@@ -369,29 +369,22 @@ def _gamma_chain(rows, config, chain=0):
     return np.vstack([mean * mean / var, mean / var]), rate
 
 
-_data = None  # a worker's (rows, cut), set by run_chains' pool initializer
-
-
-def _keep_data(rows, cut):
-    global _data
-    _data = rows, cut
-
-
-def _sample_rows(model, k, config, path):
-    """Chain ``k`` in a worker process, on the shard it gathers or, past
-    the last shard, on all the rows; its (T, d) draws go to ``path``
-    unless that is None.  Returns the draws and the post-burn-in
-    acceptance rate with the warnings the chain raised, so that the
-    parent can re-issue them.
-    """
-    rows, cut = _data
+def _serve(conn, model, rows, cut, config, paths):
+    """A worker process: for each chain index k that ``conn`` brings until
+    None, chain k on the shard it gathers or, past the last shard, on all
+    the rows, its (T, d) draws written to ``paths[k]`` unless that is None.
+    Answers ``(k, (draws, rate, warnings))`` or ``(k, error)``."""
     chain = _logistic_chain if model == "logistic" else _gamma_chain
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        draws, rate = chain(rows[cut[k]] if k < len(cut) else rows, config, k)
-    if path is not None:
-        write_matrix(path, draws.T)
-    return draws, rate, [w.message for w in caught]
+    for k in iter(conn.recv, None):
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                draws, rate = chain(rows[cut[k]] if k < len(cut) else rows, config, k)
+            if paths[k] is not None:
+                write_matrix(paths[k], draws.T)
+            conn.send((k, (draws, rate, [w.message for w in caught])))
+        except Exception as exc:
+            conn.send((k, exc))
 
 
 def _usable_cores():
@@ -409,17 +402,17 @@ def run_chains(model, rows, shards, config, paths=None):
     config.seed)``, and chain ``m`` runs ``config`` on the ``("chain",
     m)`` stream of ``config.seed``: the shards in order, then the
     full-data chain.  The chains share nothing, so they run in forked
-    worker processes, one per usable core at most, largest block first.
-    The workers inherit the rows and the cut and gather their own
-    shards, so the parent holds no shard and no row passes through a
-    pipe.  Without fork, each worker receives the rows once.  Given
-    ``paths``, one per chain, each worker writes its chain's (T, d)
-    draws there by :func:`io.write_matrix` as soon as the chain ends, as
-    separate machines would.  The draws equal a
-    one-chain-at-a-time loop bit for bit, whatever the core count.  An
-    error raised in a worker, a failed write too, reaches the caller
-    with its own type, and the chains' warnings are re-issued here in
-    chain order.
+    worker processes, one per usable core at most, each fed one chain
+    index at a time, largest block first.  The workers inherit the rows
+    and the cut and gather their own shards, so the parent holds no
+    shard and no row passes through a pipe.  Without fork, each worker
+    receives the rows once.  Given ``paths``, one per chain, each worker
+    writes its chain's (T, d) draws there by :func:`io.write_matrix` as
+    soon as the chain ends, as separate machines would.  The draws equal
+    a one-chain-at-a-time loop bit for bit, whatever the core count.  An
+    error raised in a chain, a failed write too, reaches the caller with
+    its own type, the first in chain order; a worker that dies raises
+    :class:`ChildProcessError`.  Warnings are re-issued in chain order.
 
     Returns ``(bundle, full_chain, rates)``: the
     :class:`SubposteriorBundle` of the shard chains, the (d, T)
@@ -427,9 +420,9 @@ def run_chains(model, rows, shards, config, paths=None):
     and the full-data chain last.
     """
     # Imported here, the one place that forks: most callers of the package
-    # combine draws sampled elsewhere and never start a pool.
+    # combine draws sampled elsewhere and never start a worker.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
     if model not in ("logistic", "gamma"):
         raise ValueError(f"unknown model {model!r}")
@@ -438,19 +431,46 @@ def run_chains(model, rows, shards, config, paths=None):
     rows = np.asarray(rows, dtype=float)
     cut = _cut(rows.shape[0], shards, config.seed)
     sizes = [*map(len, cut), rows.shape[0]]
-    order = sorted(range(len(sizes)), key=lambda k: -sizes[k])
-    # Fork, not spawn: the pool lives for one call, and a spawned worker
-    # would pay a fresh interpreter and numpy import, about 0.3 s, each call.
-    # A forked worker inherits the initializer's arguments unpickled, so it
-    # reads the rows copy-on-write; without fork, each unpickles them once.
+    pending = iter(sorted(range(len(sizes)), key=lambda k: -sizes[k]))
+    # Fork by name (forkserver is Linux's default from Python 3.14), not spawn:
+    # a spawned worker pays a fresh interpreter and numpy import, about 0.3 s.
+    # A forked worker inherits the rows unpickled; without fork, each unpickles them.
     fork = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if fork else None)
-    workers = min(_usable_cores(), len(sizes))
     paths = paths or [None] * len(sizes)
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_keep_data,
-                             initargs=(rows, cut)) as pool:
-        futures = {k: pool.submit(_sample_rows, model, k, config, paths[k]) for k in order}
-        results = [futures[k].result() for k in range(len(sizes))]
+    results = [None] * len(sizes)
+    workers = {}  # by the parent's end of each worker's pipe
+    try:
+        for _ in range(min(_usable_cores(), len(sizes))):
+            conn, child = context.Pipe()
+            worker = context.Process(target=_serve, args=(child, model, rows, cut, config, paths))
+            worker.start()
+            child.close()  # so that a worker that dies reads as EOF here
+            workers[conn] = worker
+            conn.send(next(pending))
+        # One index in flight per worker: thousands queued would fill the pipes.
+        busy = list(workers)
+        while busy:
+            for conn in wait(busy):
+                try:
+                    k, results[k] = conn.recv()
+                except EOFError:
+                    raise ChildProcessError("a chain worker died before it answered") from None
+                k = next(pending, None)
+                conn.send(k)
+                if k is None:
+                    busy.remove(conn)
+    except BaseException:
+        for worker in workers.values():
+            worker.terminate()
+        raise
+    finally:
+        for conn, worker in workers.items():
+            worker.join()
+            conn.close()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     chains, rates = [], []
     for draws, rate, caught in results:
         for message in caught:

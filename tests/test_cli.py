@@ -42,13 +42,38 @@ def test_import_loads_numpy_only():
 
 
 def test_import_starts_no_process_pool():
-    # Only run_chains forks, and it imports the pool modules itself, so
-    # combine, metric and library callers with their own draws skip them.
+    # Only run_chains forks, and it imports multiprocessing itself, so
+    # combine, metric and library callers with their own draws skip it.
     code = ("import sys, chaincombine, chaincombine.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_back_to_back_harness_runs_fork_with_one_thread(tmp_path):
+    # Python >= 3.12 warns when a process with more than one OS thread
+    # forks, counting them by field 20 of /proc/self/stat.  A run must
+    # leave no thread behind for the next run's forks to see.
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("no /proc/self/stat on this system")
+    code = f"""if True:
+        import os, sys
+        from chaincombine.cli import main
+        threads = []
+        os.register_at_fork(after_in_parent=lambda: threads.append(
+            int(open("/proc/self/stat").read().rsplit(")", 1)[1].split()[17])))
+        for run in range(4):
+            main(["harness", "--model", "gamma", "--n", "2000", "--shards", "3",
+                  "--iters", "200", "--burnin", "50", "--out-dir", {str(tmp_path)!r} + str(run)])
+        print(*threads)
+        print("concurrent.futures" in sys.modules)
+    """
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    *_, threads, futures = result.stdout.splitlines()
+    assert len(threads.split()) >= 4 and set(threads.split()) == {"1"}
+    assert futures == "False"
 
 
 @pytest.fixture

@@ -7,9 +7,9 @@ steps.  ``TestBitwiseAgainstReference`` holds the sampler to them bit for
 bit: same draws, same acceptance rate.
 """
 
-import concurrent.futures
 import math
 import multiprocessing
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -25,6 +25,7 @@ from chaincombine import (
     NonConvergenceWarning,
     NonPositiveData,
     SingularCovariance,
+    SubposteriorBundle,
     TooManyShards,
     adaptive_random_walk,
     gaussian_product_oracle,
@@ -373,7 +374,7 @@ class TestRunChains:
 
     def test_spawned_workers_give_the_forked_bytes(self, monkeypatch, tmp_path):
         # The path of platforms without fork: each worker unpickles the
-        # rows and the cut once, from the pool's initializer arguments.
+        # rows and the cut once, from its process arguments.
         rows = simulate_gamma_data(2000, 4.0, 2.0, seed=46)
         names = ["shard_1.csv", "shard_2.csv", "shard_3.csv", "full.csv"]
         for method in ("fork", "spawn"):
@@ -421,6 +422,32 @@ class TestRunChains:
         with pytest.raises(error) as caught:
             run_chains("gamma", bad, 1, self.CONFIG)
         assert caught.value.exit_code == 2
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_and_is_joined(self, monkeypatch):
+        # A worker that dies mid-chain, as one killed for memory would,
+        # closes its pipe; the forked workers inherit the patched chain.
+        gamma_chain = harness._gamma_chain
+
+        def dying_chain(rows, config, chain=0):
+            if chain == 2:
+                os._exit(1)
+            return gamma_chain(rows, config, chain)
+
+        monkeypatch.setattr(harness, "_gamma_chain", dying_chain)
+        rows = simulate_gamma_data(2000, 4.0, 2.0, seed=51)
+        with pytest.raises(ChildProcessError):
+            run_chains("gamma", rows, 3, self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_thousands_of_shards(self):
+        # Each worker has one chain index in flight: 5,000 indices queued
+        # at once would fill the pipes before any worker reads them.
+        rows = simulate_gamma_data(20_000, 4.0, 2.0, seed=52)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle, _, _ = run_chains("gamma", rows, 5000, MhConfig(iterations=2, burnin=0))
+        assert bundle.values.shape == (2, 2, 5000)
 
     def test_warnings_reissued_in_chain_order(self, monkeypatch):
         # An empty healthy range makes every chain warn; the forked
@@ -443,30 +470,13 @@ class TestRunChains:
                 run_chains("gamma", rows, 1, self.CONFIG)
 
 
-class InProcessPool:
-    """A stand-in for ``ProcessPoolExecutor`` that runs every task here."""
-
-    def __init__(self, workers, mp_context=None, initializer=None, initargs=()):
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestStreamIndependence:
     def test_no_two_roles_share_a_stream(self, monkeypatch):
         # Every generator a harness-to-combine run makes, by its first
         # words: data, shard cut, chains 0..M, shuffle machines 0..M-1 and
         # the DPE, under seeds s and s + k for k = 1..5.  The chains run
-        # in this process, so that their generators are recorded too.
+        # in this process, as run_chains' workers run them, so that their
+        # generators are recorded too.
         make_rng = np.random.default_rng
         words = []
 
@@ -475,15 +485,14 @@ class TestStreamIndependence:
             return make_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(harness, "_data", None)
         M, seeds = 3, range(1, 7)
         for seed in seeds:
             rows = simulate_gamma_data(300, 4.0, 2.0, seed)
             config = MhConfig(iterations=200, burnin=50, seed=seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonConvergenceWarning)
-                bundle, _, _ = run_chains("gamma", rows, M, config)
+                chains = serial_chains(_gamma_chain, rows, M, config)
+            bundle = SubposteriorBundle(np.stack([draws for draws, _ in chains[:-1]], axis=2))
             semiparametric_dpe(shuffle_within_machines(bundle, seed), DpeConfig(seed=seed))
         assert len(words) == len(seeds) * (1 + 1 + (M + 1) + M + 1)
         assert len(set(words)) == len(words)
