@@ -16,6 +16,7 @@ written, 3 numerical failure.  Errors are printed to stderr with an
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -79,6 +80,7 @@ def _reals(text):
         raise argparse.ArgumentTypeError(f"must be comma-separated reals, got {text!r}") from None
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main()
 def build_parser():
     parser = _Parser(
         prog="chaincombine",

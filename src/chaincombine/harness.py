@@ -52,6 +52,9 @@ HESSIAN_REL_STEP = 1e-4
 # Metropolis steps whose proposal normals and uniforms are drawn at once.
 RANDOM_BLOCK = 4096
 
+# Radius of the ball, in whitened proposal units, where an envelope screens.
+ENVELOPE_RADIUS = 6.0
+
 
 @dataclass(frozen=True)
 class MhConfig:
@@ -182,7 +185,7 @@ def _proposal_cholesky(log_density, center):
     return np.diag(np.maximum(np.abs(center), 1.0))
 
 
-def adaptive_random_walk(log_density, start, config, chain=0):
+def adaptive_random_walk(log_density, start, config, chain=0, envelope=None):
     """Random-walk Metropolis with burn-in-only scale adaptation.
 
     The proposal is ``scale * L z`` with ``L`` the local curvature
@@ -193,6 +196,10 @@ def adaptive_random_walk(log_density, start, config, chain=0):
     proposal, or one whose log density is NaN, is rejected.  A start
     whose log density is not finite raises :class:`DegenerateChain`.
 
+    ``envelope(L)``, if given, returns ``(h, margin)``: ``log_density(start +
+    L w) <= log_density(start) - h |w|^2 + margin`` where ``|w| <= ENVELOPE_RADIUS``.
+    After burn-in, a proposal this bound rejects is rejected unevaluated: same draws.
+
     The randomness comes from the ``("chain", chain)`` stream of
     ``config.seed``, drawn ``RANDOM_BLOCK`` steps at a time: a block of
     normals, turned into proposal steps by one product with ``L``, then
@@ -200,8 +207,8 @@ def adaptive_random_walk(log_density, start, config, chain=0):
     So the memory stays O(RANDOM_BLOCK * d) at any chain length.
 
     Returns ``(draws, acceptance_rate)`` with ``draws`` of shape (d, T)
-    and the rate measured over all post-burn-in steps.  A rate outside
-    [0.1, 0.6] triggers a :class:`NonConvergenceWarning`.
+    and the rate the fraction of post-burn-in proposals accepted.  A
+    rate outside [0.1, 0.6] triggers a :class:`NonConvergenceWarning`.
     """
     start = np.asarray(start, dtype=float)
     d = start.size
@@ -213,19 +220,35 @@ def adaptive_random_walk(log_density, start, config, chain=0):
         raise DegenerateChain(f"log density at the start {start} is {log_p}; "
                               "the start has no posterior mass")
     chol = _proposal_cholesky(log_density, start)
+    if envelope is not None:
+        half_curvature, margin = envelope(chol)
+        ceiling = log_p + margin
 
     # Python floats where the loop allows: numpy scalar arithmetic is slower.
     scale = 2.38 / math.sqrt(d)
     burnin, thin = config.burnin, config.thin
     total = burnin + config.iterations * thin
     kept = []
-    accept_sum = 0.0
+    accepts = 0
     for first in range(0, total, RANDOM_BLOCK):
         size = min(RANDOM_BLOCK, total - first)
-        steps = rng.standard_normal((size, d)) @ chol.T
+        normals = rng.standard_normal((size, d))
+        steps = normals @ chol.T
         if first >= burnin:
             steps *= scale
-        for k, step, u in zip(range(first, first + size), steps, rng.random(size).tolist()):
+        w = w_y = None  # w = L^-1 (x - start), solved once a block so rounding cannot drift
+        zs = normals.tolist() if envelope is not None else [None] * size
+        for k, step, u, z in zip(range(first, first + size), steps, rng.random(size).tolist(), zs):
+            if envelope is not None and k >= burnin:
+                w = w or np.linalg.solve(chol, x - start).tolist()
+                w_y = [a + scale * b for a, b in zip(w, z)]
+                ww = sum([a * a for a in w_y])
+                excess = min(ceiling - half_curvature * ww - log_p, 0.0)
+                # Even the bound's acceptance probability is below u: rejected unevaluated.
+                if ww <= ENVELOPE_RADIUS ** 2 and u >= math.exp(excess):
+                    if (k - burnin) % thin == thin - 1:
+                        kept.append(x)
+                    continue
             # Steps are scaled a block at a time once the scale is frozen (below);
             # the iterator yields views, so those steps arrive scaled.
             proposal = x + scale * step if k < burnin else x + step
@@ -234,23 +257,21 @@ def adaptive_random_walk(log_density, start, config, chain=0):
             if log_p_prop > -math.inf:
                 delta = log_p_prop - log_p
                 accept_prob = math.exp(delta) if delta < 0.0 else 1.0
-                if u < accept_prob:
-                    x = proposal
-                    log_p = log_p_prop
             else:
                 accept_prob = 0.0
+            if u < accept_prob:
+                x, log_p, w = proposal, log_p_prop, w_y
+                accepts += k >= burnin
             if k < burnin:
                 scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
                 if k == burnin - 1:  # the scale is frozen from here on
                     steps[k + 1 - first:] *= scale
-            else:
-                accept_sum += accept_prob
-                if (k - burnin) % thin == thin - 1:
-                    kept.append(x)
+            elif (k - burnin) % thin == thin - 1:
+                kept.append(x)
     # C order: numpy sums a C-order row pairwise but a transposed one
     # sequentially, so the layout decides the last bits of a draw mean.
     draws = np.ascontiguousarray(np.array(kept).T)
-    rate = accept_sum / (config.iterations * config.thin)
+    rate = accepts / (config.iterations * config.thin)
     if not ACCEPTANCE_HEALTHY[0] <= rate <= ACCEPTANCE_HEALTHY[1]:
         warnings.warn(
             f"post-burn-in acceptance rate {rate:.3f} outside "
@@ -307,6 +328,27 @@ def _logistic_mode(x, y):
                           "maximum (separable outcomes?); the posterior is improper")
 
 
+def _logistic_envelope(x, y, mode, chol):
+    """The :func:`adaptive_random_walk` envelope of the logistic log likelihood.
+
+    Where |w| <= R = ENVELOPE_RADIUS, beta = mode + L w (L = ``chol``) moves
+    logit z_i = x_i . mode by at most R |c_i|, c_i = L^T x_i; s(z) = e^-|z| /
+    (1 + e^-|z|)^2 falls with |z|, so by Taylor's theorem from the mode the
+    curvature is the least eigenvalue of sum_i s(|z_i| + R |c_i|) c_i c_i^T.
+    The margin holds R |L^T gradient| (0 at the mode but for rounding) and
+    4 times a call's rounding (at the mode, at the proposal, the gradient,
+    the rest): there |beta| <= r = |mode| + R |L|_F, so a call sums terms of
+    size <= b_i + 1, b_i = |x_i| r, n + d + 5 deep: error <= (n + d + 5) eps sum(b_i + 1).
+    """
+    z, c = x @ mode, x @ chol
+    e = np.exp(-np.abs(z) - ENVELOPE_RADIUS * np.linalg.norm(c, axis=1))
+    curvature = np.linalg.eigvalsh((c.T * (e / (1.0 + e) ** 2)) @ c)[0]
+    b = np.linalg.norm(x, axis=1) * (np.linalg.norm(mode) + ENVELOPE_RADIUS * np.linalg.norm(chol))
+    rounding = (x.shape[0] + x.shape[1] + 5) * np.finfo(float).eps * (b + 1.0).sum()
+    slope = np.linalg.norm(chol.T @ (x.T @ (y - _expit(z))))
+    return 0.5 * float(curvature), float(4.0 * rounding + ENVELOPE_RADIUS * slope)
+
+
 def _logistic_chain(rows, config, chain=0):
     """Posterior draws for logistic-regression coefficients on rows
     ``[y, x_1, ..., x_d]``, from chain stream ``chain``.
@@ -318,7 +360,8 @@ def _logistic_chain(rows, config, chain=0):
     x, y = rows[:, 1:], rows[:, 0]
     log_density = _logistic_log_likelihood(x, y)
     start = _logistic_mode(x, y)
-    return adaptive_random_walk(log_density, start, config, chain)
+    return adaptive_random_walk(log_density, start, config, chain,
+                                lambda chol: _logistic_envelope(x, y, start, chol))
 
 
 def _gamma_log_posterior(y):

@@ -120,6 +120,17 @@ def logistic_distances(n, M, T, burnin, seed):
     }
 
 
+def gamma_distances(seed):
+    """Criterion 4's run: Gamma(4, 2) data, n = 50000 on 5 shards, sampled,
+    combined four ways; the alpha-marginal relative L2 distance per method."""
+    rows = simulate_gamma_data(50000, 4.0, 2.0, seed=seed)
+    config = MhConfig(iterations=10000, burnin=1000, seed=seed, thin=THIN)
+    bundle, full, _ = run_chains("gamma", rows, 5, config)
+    combined = combine_all(shuffle_within_machines(bundle, seed), seed)
+    return {name: relative_l2_distance(full[0], result.values[0])
+            for name, result in combined.items()}
+
+
 def test_criterion_3_logistic_desk_scale():
     # Seeds 1-3 out of a ten-seed development sweep (seeds 1-10), re-run
     # when the random streams became one per role: 10/10 seeds pass the
@@ -143,14 +154,7 @@ def test_criterion_4_gamma_desk_scale():
     # consensus-cov 0.082), and on 8/10 under the earlier streams.
     with criterion_report("4 gamma-desk-scale"):
         start = time.time()
-        seed = 0
-        rows = simulate_gamma_data(50000, 4.0, 2.0, seed=seed)
-        config = MhConfig(iterations=10000, burnin=1000, seed=seed, thin=THIN)
-        bundle, full, _ = run_chains("gamma", rows, 5, config)
-        bundle = shuffle_within_machines(bundle, seed)
-        combined = combine_all(bundle, seed)
-        for name, result in combined.items():
-            alpha_distance = relative_l2_distance(full[0], result.values[0])
+        for name, alpha_distance in gamma_distances(seed=0).items():
             assert alpha_distance < 0.08, (name, alpha_distance)
         assert time.time() - start < 600.0
 

@@ -4,7 +4,9 @@
 Metropolis loop and log densities in plain numpy-scalar form, drawing a
 block of normals and then a block of uniforms every ``RANDOM_BLOCK``
 steps.  ``TestBitwiseAgainstReference`` holds the sampler to them bit for
-bit: same draws, same acceptance rate.
+bit: same draws, same acceptance rate.  ``TestEnvelopeScreen`` holds the
+logistic chains, which skip proposals their envelope rejects, to the
+unscreened sampler in the same way.
 """
 
 import math
@@ -16,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chaincombine import harness
 from chaincombine import (
@@ -42,6 +46,7 @@ from chaincombine.harness import (
     _gamma_chain,
     _gamma_log_posterior,
     _logistic_chain,
+    _logistic_envelope,
     _logistic_log_likelihood,
     _logistic_mode,
 )
@@ -58,7 +63,8 @@ def serial_chains(chain, rows, shards, config):
 
 
 def reference_random_walk(log_density, start, config, chain=0):
-    """The Metropolis loop of ``adaptive_random_walk``, one column per kept draw."""
+    """The Metropolis loop of ``adaptive_random_walk``, one column per kept
+    draw, with the rate the fraction of post-burn-in proposals accepted."""
     start = np.asarray(start, dtype=float)
     d = start.size
     target = harness.TARGET_ACCEPT_SCALAR if d == 1 else harness.TARGET_ACCEPT_MULTIVARIATE
@@ -71,7 +77,7 @@ def reference_random_walk(log_density, start, config, chain=0):
     draws = np.empty((d, config.iterations))
     total_steps = config.burnin + config.iterations * config.thin
     block = harness.RANDOM_BLOCK
-    accept_sum = 0.0
+    accepts = 0
     for k in range(total_steps):
         if k % block == 0:
             size = min(block, total_steps - k)
@@ -86,14 +92,14 @@ def reference_random_walk(log_density, start, config, chain=0):
             if uniforms[k % block] < accept_prob:
                 x = proposal
                 log_p = log_p_prop
+                accepts += k >= config.burnin
         if k < config.burnin:
             scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
         else:
             kept = k - config.burnin
             if kept % config.thin == config.thin - 1:
                 draws[:, kept // config.thin] = x
-            accept_sum += accept_prob
-    return draws, accept_sum / (config.iterations * config.thin)
+    return draws, accepts / (config.iterations * config.thin)
 
 
 def reference_logistic_log_likelihood(x, y):
@@ -192,6 +198,128 @@ class TestBitwiseAgainstReference:
         rng = np.random.default_rng(70)
         for params in mode * np.exp(0.3 * rng.standard_normal((points, mode.size))):
             assert log_density(params) == reference_density(params)
+
+
+def _shard_rows(seed):
+    return partition_rows(simulate_logistic_data(20000, BETA_REFERENCE, seed), 5, seed)[0]
+
+
+def _duplicated_column_rows(seed):
+    # X^T W X is singular, so the envelope's curvature is 0 up to rounding.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2000, 3))
+    x[:, 1] = x[:, 0]
+    y = (rng.uniform(size=2000) < _expit(x @ [0.5, 0.5, -1.0])).astype(float)
+    return np.column_stack([y, x])
+
+
+def _near_separable_rows(seed):
+    # A skewed posterior with a heavy tail: 30 rows, one covariate, slope 4.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 1))
+    y = (rng.uniform(size=30) < _expit(4.0 * x[:, 0])).astype(float)
+    return np.column_stack([y, x])
+
+
+def counting_log_likelihoods(monkeypatch):
+    """Make every logistic chain count its log-density calls, one entry
+    per chain in the returned list."""
+    make = harness._logistic_log_likelihood
+    calls = []
+
+    def counting(x, y):
+        log_density = make(x, y)
+        calls.append(0)
+
+        def counted(beta):
+            calls[-1] += 1
+            return log_density(beta)
+
+        return counted
+
+    monkeypatch.setattr(harness, "_logistic_log_likelihood", counting)
+    return calls
+
+
+class TestEnvelopeScreen:
+    @staticmethod
+    def assert_screen_is_exact(rows, config):
+        x, y = rows[:, 1:], rows[:, 0]
+        chain = config.seed % 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            draws, rate = _logistic_chain(rows, config, chain)
+            ref_draws, ref_rate = adaptive_random_walk(
+                _logistic_log_likelihood(x, y), _logistic_mode(x, y), config, chain)
+        assert draws.tobytes() == ref_draws.tobytes()
+        assert rate == ref_rate
+
+    @pytest.mark.parametrize("rows, config", [
+        (_shard_rows, MhConfig(iterations=800, burnin=200, seed=80)),
+        (lambda seed: simulate_logistic_data(20000, BETA_REFERENCE, seed),
+         MhConfig(iterations=1000, burnin=500, seed=81, thin=2)),
+        (_shard_rows, MhConfig(iterations=300, burnin=100, seed=82, thin=10)),
+        (_shard_rows, MhConfig(iterations=600, burnin=0, seed=83)),
+        # The burn-in ends inside the first block, and the screened steps
+        # cross into a second, where w is solved for afresh.
+        (_shard_rows, MhConfig(iterations=2000, burnin=300, seed=84, thin=2)),
+        (_shard_rows, MhConfig(iterations=400, burnin=harness.RANDOM_BLOCK + 100, seed=85)),
+        (_duplicated_column_rows, MhConfig(iterations=1000, burnin=200, seed=86)),
+    ], ids=["shard-thin-1", "full-thin-2", "shard-thin-10", "burnin-0", "across-a-block-edge",
+            "burnin-ends-in-second-block", "duplicated-column"])
+    def test_screened_chain_equals_unscreened(self, rows, config):
+        self.assert_screen_is_exact(rows(config.seed), config)
+
+    def test_ball_keeps_out_what_the_bound_does_not_cover(self, monkeypatch):
+        # Well outside radius 1 the bound built for that radius fails on
+        # this skewed posterior; only the ball test keeps those proposals
+        # from being screened.
+        monkeypatch.setattr(harness, "ENVELOPE_RADIUS", 1.0)
+        self.assert_screen_is_exact(_near_separable_rows(87),
+                                    MhConfig(iterations=2000, burnin=0, seed=87))
+
+    def test_log_density_calls_at_benchmark_size(self, monkeypatch):
+        # logistic-pipeline's harness: n = 20000, 5 shards, 1000 draws at
+        # thin 2 after 500 burn-in steps, seed 3.  Unscreened, each chain
+        # calls the log density 1 + 60 (the proposal Hessian) + 2500 times,
+        # 15,366 calls in all.  Screened, it took 8,797 calls, the full
+        # chain evaluating 682 of its 2,000 post-burn-in steps.  Bounds:
+        # at most 60% of the unscreened calls, and at most 40% of the full
+        # chain's post-burn-in steps evaluated (its cost is the harness's).
+        calls = counting_log_likelihoods(monkeypatch)
+        rows = simulate_logistic_data(20000, BETA_REFERENCE, seed=3)
+        serial_chains(_logistic_chain, rows, 5, MhConfig(iterations=1000, burnin=500, seed=3,
+                                                         thin=2))
+        assert len(calls) == 6
+        assert sum(calls) <= 0.6 * 6 * 2561
+        assert calls[-1] - 561 <= 0.4 * 2000
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(20, 200), d=st.integers(1, 4), size=st.floats(0.0, 6.0),
+           offset=st.sampled_from([0.0, 0.5, 2.0]), seed=st.integers(0, 2**32 - 1))
+    def test_envelope_bounds_the_log_density(self, n, d, size, offset, seed):
+        # Large coefficients on few rows make near-separable shards, whose
+        # logits at the mode are large and whose curvature is small.  The
+        # bound holds around any center; off the mode its margin holds
+        # the slope term.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        y = (rng.uniform(size=n) < _expit(x @ (size * rng.standard_normal(d)))).astype(float)
+        log_density = _logistic_log_likelihood(x, y)
+        try:
+            mode = _logistic_mode(x, y)
+        except DegenerateChain:
+            assume(False)
+        chol = harness._proposal_cholesky(log_density, mode)
+        center = mode + offset * (chol @ rng.standard_normal(d))
+        half_curvature, margin = _logistic_envelope(x, y, center, chol)
+        # 32 points on the ball's boundary, 32 inside it.
+        w = rng.standard_normal((64, d))
+        w *= harness.ENVELOPE_RADIUS / np.linalg.norm(w, axis=1, keepdims=True)
+        w[32:] *= rng.uniform(size=(32, 1))
+        ceiling = log_density(center) + margin
+        for point in w:
+            assert log_density(center + chol @ point) <= ceiling - half_curvature * (point @ point)
 
 
 class TestSimulateLogistic:
