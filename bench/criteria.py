@@ -1,18 +1,15 @@
 """Ten-seed sweeps of acceptance criteria 3 and 4, written to one JSON file.
 
-The runs are the acceptance tests' own: this script imports
-``logistic_distances`` and ``gamma_distances`` from
-``tests/test_acceptance.py`` and applies the tests' bands and rank rule
+The runs, bands and rank rule are the acceptance tests' own, imported
+from ``tests/test_acceptance.py`` (``criterion_3_distances``, ``BAND_3``,
+``consensus_cov_top_two``; ``gamma_distances``, ``BAND_4``) and applied
 to more seeds than the tests run.  It only reports; nothing fails.
 
-    PYTHONPATH=src python3 bench/criteria.py --out bench/CRITERIA_26.json
+    PYTHONPATH=src python3 bench/criteria.py --out bench/CRITERIA_28.json
 
-Criterion 3 (logistic, n = 20000, M = 5, T = 10000, thin 10): every
-method's beta_1 distance below 0.10, and consensus-cov ranked first or
-second.  Criterion 4 (Gamma, n = 50000, M = 5): every method's alpha
-distance below 0.08.  Each seed records each method's distance, rank
-and margin to the band (band minus distance), and the seed's wall time.
-Criterion 3 takes about 8 s a seed on two cores, criterion 4 about 1 s.
+Each seed records each method's distance, rank and margin to the band
+(band minus distance), and the seed's wall time.  Criterion 3 takes
+about 8 s a seed on two cores, criterion 4 about 1 s.
 """
 
 import argparse
@@ -29,7 +26,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from test_acceptance import gamma_distances, logistic_distances  # noqa: E402
+from test_acceptance import (  # noqa: E402
+    BAND_3,
+    BAND_4,
+    consensus_cov_top_two,
+    criterion_3_distances,
+    gamma_distances,
+)
 
 
 def machine_facts():
@@ -43,9 +46,9 @@ def machine_facts():
             "numpy": np.__version__}
 
 
-def sweep(run, band, seeds, rank_rule):
+def sweep(run, band, seeds, rank_rule=None):
     """Run ``run(seed)`` per seed; returns the per-seed records and the
-    counts of seeds that pass the band and, if ``rank_rule``, the rank rule."""
+    counts of seeds that pass the band and, if given, ``rank_rule(distances)``."""
     records, band_pass, rank_pass = {}, 0, 0
     for seed in seeds:
         start = time.perf_counter()
@@ -61,7 +64,7 @@ def sweep(run, band, seeds, rank_rule):
         }
         band_pass += record["band_ok"]
         if rank_rule:
-            record["rank_ok"] = ranked.index("consensus-cov") < 2
+            record["rank_ok"] = rank_rule(distances)
             rank_pass += record["rank_ok"]
         records[str(seed)] = record
         print(f"seed {seed}: {json.dumps(distances)} {wall:.1f} s", file=sys.stderr)
@@ -76,11 +79,9 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     report = {"machine": machine_facts()}
-    report["criterion_3"] = sweep(
-        lambda seed: logistic_distances(n=20000, M=5, T=10000, burnin=1000, seed=seed),
-        band=0.10, seeds=range(1, 11), rank_rule=True)
-    report["criterion_4"] = sweep(gamma_distances, band=0.08, seeds=range(0, 10),
-                                  rank_rule=False)
+    report["criterion_3"] = sweep(criterion_3_distances, BAND_3, range(1, 11),
+                                  consensus_cov_top_two)
+    report["criterion_4"] = sweep(gamma_distances, BAND_4, range(0, 10))
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
 

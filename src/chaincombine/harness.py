@@ -170,7 +170,7 @@ def _finite_difference_hessian(log_density, x):
 def _proposal_cholesky(log_density, center):
     """Cholesky factor of the local inverse-curvature at ``center``.
 
-    Falls back to the identity scaled by |center| when the curvature is
+    Falls back to diag(max(|center|, 1)) when the curvature is
     not usable (flat directions, numerical noise, a stencil point where
     the log density is -inf).
     """
@@ -188,23 +188,23 @@ def _proposal_cholesky(log_density, center):
 def adaptive_random_walk(log_density, start, config, chain=0, envelope=None):
     """Random-walk Metropolis with burn-in-only scale adaptation.
 
-    The proposal is ``scale * L z`` with ``L`` the local curvature
-    factor at the start point.  During burn-in the global ``scale``
-    follows a Robbins-Monro recursion toward the target acceptance rate
-    and is frozen afterwards.
-    ``log_density`` is ``-inf`` where the target has no mass; such a
-    proposal, or one whose log density is NaN, is rejected.  A start
-    whose log density is not finite raises :class:`DegenerateChain`.
+    The proposal is ``scale * L z`` with ``L`` the local curvature factor
+    at the start.  A proposal whose log density is ``-inf`` (no mass) or
+    NaN is rejected; a start whose log density is not finite raises
+    :class:`DegenerateChain`.  The randomness comes from the ``("chain",
+    chain)`` stream of ``config.seed``, ``RANDOM_BLOCK`` steps at a time:
+    a block of normals, turned into steps by one product with ``L``, then
+    a block of uniforms, one per step whether it is used or not, so the
+    memory stays O(RANDOM_BLOCK * d) at any chain length.
 
-    ``envelope(L)``, if given, returns ``(h, margin)``: ``log_density(start +
-    L w) <= log_density(start) - h |w|^2 + margin`` where ``|w| <= ENVELOPE_RADIUS``.
-    After burn-in, a proposal this bound rejects is rejected unevaluated: same draws.
-
-    The randomness comes from the ``("chain", chain)`` stream of
-    ``config.seed``, drawn ``RANDOM_BLOCK`` steps at a time: a block of
-    normals, turned into proposal steps by one product with ``L``, then
-    a block of uniforms, one per step whether the step uses it or not.
-    So the memory stays O(RANDOM_BLOCK * d) at any chain length.
+    A block runs in two phases, one loop each.  Burn-in steps come first;
+    ``scale`` follows a Robbins-Monro recursion on their exact acceptance
+    probabilities toward the target rate, and they are never screened.
+    Then the frozen scale multiplies the block's other steps at once.  Each
+    such sampling step is decided and every ``thin``-th state kept; given
+    ``envelope(L)``, which returns ``(h, margin)`` with ``log_density(start
+    + L w) <= log_density(start) - h |w|^2 + margin`` where ``|w| <=
+    ENVELOPE_RADIUS``, a step this bound rejects is rejected unevaluated.
 
     Returns ``(draws, acceptance_rate)`` with ``draws`` of shape (d, T)
     and the rate the fraction of post-burn-in proposals accepted.  A
@@ -234,39 +234,38 @@ def adaptive_random_walk(log_density, start, config, chain=0, envelope=None):
         size = min(RANDOM_BLOCK, total - first)
         normals = rng.standard_normal((size, d))
         steps = normals @ chol.T
-        if first >= burnin:
-            steps *= scale
-        w = w_y = None  # w = L^-1 (x - start), solved once a block so rounding cannot drift
-        zs = normals.tolist() if envelope is not None else [None] * size
-        for k, step, u, z in zip(range(first, first + size), steps, rng.random(size).tolist(), zs):
-            if envelope is not None and k >= burnin:
-                w = w or np.linalg.solve(chol, x - start).tolist()
+        uniforms = rng.random(size).tolist()
+        tuned = min(max(burnin - first, 0), size)  # the block's burn-in steps come first
+        for k, step, u in zip(range(first, first + tuned), steps, uniforms):
+            proposal = x + scale * step
+            log_p_prop = log_density(proposal)
+            # 0 for -inf and for NaN alike: neither proposal has mass.
+            accept_prob = math.exp(min(0.0, log_p_prop - log_p)) if log_p_prop > -math.inf else 0.0
+            if u < accept_prob:
+                x, log_p = proposal, log_p_prop
+            scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
+        steps[tuned:] *= scale  # the scale is frozen from here on
+        # w = L^-1 (x - start), solved once a block so rounding cannot drift.
+        w = w_y = np.linalg.solve(chol, x - start).tolist() if envelope is not None else None
+        zs = normals[tuned:].tolist() if envelope is not None else [None] * (size - tuned)
+        for j, step, u, z in zip(range(first + tuned - burnin, first + size - burnin),
+                                 steps[tuned:], uniforms[tuned:], zs):
+            if z is not None:
                 w_y = [a + scale * b for a, b in zip(w, z)]
                 ww = sum([a * a for a in w_y])
                 excess = min(ceiling - half_curvature * ww - log_p, 0.0)
                 # Even the bound's acceptance probability is below u: rejected unevaluated.
                 if ww <= ENVELOPE_RADIUS ** 2 and u >= math.exp(excess):
-                    if (k - burnin) % thin == thin - 1:
+                    if j % thin == thin - 1:
                         kept.append(x)
                     continue
-            # Steps are scaled a block at a time once the scale is frozen (below);
-            # the iterator yields views, so those steps arrive scaled.
-            proposal = x + scale * step if k < burnin else x + step
+            proposal = x + step
             log_p_prop = log_density(proposal)
-            # False for -inf and for NaN alike: neither proposal has mass.
-            if log_p_prop > -math.inf:
-                delta = log_p_prop - log_p
-                accept_prob = math.exp(delta) if delta < 0.0 else 1.0
-            else:
-                accept_prob = 0.0
-            if u < accept_prob:
+            # u < the burn-in's accept_prob, without forming e^delta where it is 1.
+            if log_p_prop > -math.inf and (log_p_prop >= log_p or u < math.exp(log_p_prop - log_p)):
                 x, log_p, w = proposal, log_p_prop, w_y
-                accepts += k >= burnin
-            if k < burnin:
-                scale *= math.exp((k + 1.0) ** -0.6 * (accept_prob - target))
-                if k == burnin - 1:  # the scale is frozen from here on
-                    steps[k + 1 - first:] *= scale
-            elif (k - burnin) % thin == thin - 1:
+                accepts += 1
+            if j % thin == thin - 1:
                 kept.append(x)
     # C order: numpy sums a C-order row pairwise but a transposed one
     # sequentially, so the layout decides the last bits of a draw mean.
@@ -357,6 +356,7 @@ def _logistic_chain(rows, config, chain=0):
     constant.  Returns ``(draws, rate)``: the (d, T) retained draws and
     the post-burn-in acceptance rate.
     """
+    rows = np.ascontiguousarray(rows)  # so the draws do not depend on the rows' layout
     x, y = rows[:, 1:], rows[:, 0]
     log_density = _logistic_log_likelihood(x, y)
     start = _logistic_mode(x, y)

@@ -265,8 +265,10 @@ class TestEnvelopeScreen:
         (_shard_rows, MhConfig(iterations=2000, burnin=300, seed=84, thin=2)),
         (_shard_rows, MhConfig(iterations=400, burnin=harness.RANDOM_BLOCK + 100, seed=85)),
         (_duplicated_column_rows, MhConfig(iterations=1000, burnin=200, seed=86)),
+        # One block all burn-in, the next all sampling.
+        (_shard_rows, MhConfig(iterations=300, burnin=harness.RANDOM_BLOCK, seed=88)),
     ], ids=["shard-thin-1", "full-thin-2", "shard-thin-10", "burnin-0", "across-a-block-edge",
-            "burnin-ends-in-second-block", "duplicated-column"])
+            "burnin-ends-in-second-block", "duplicated-column", "burnin-on-block-edge"])
     def test_screened_chain_equals_unscreened(self, rows, config):
         self.assert_screen_is_exact(rows(config.seed), config)
 
@@ -424,6 +426,24 @@ class TestLogisticPosterior:
             mean = draws.mean(axis=1)
             sd = draws.std(axis=1, ddof=1)
             assert np.all(np.abs(mean - BETA_REFERENCE) < 3.0 * sd)
+
+    @pytest.mark.parametrize("rows, seed", [
+        (_near_separable_rows, 0), (_near_separable_rows, 1), (_near_separable_rows, 2),
+        (lambda seed: simulate_logistic_data(2000, BETA_REFERENCE, seed), 44),
+    ], ids=["one-covariate-0", "one-covariate-1", "one-covariate-2", "d-5"])
+    def test_draws_do_not_depend_on_the_rows_layout(self, rows, seed):
+        # The same numbers in C order, in Fortran order, and as a strided
+        # view into a Fortran-order array: the same draws, bit for bit.
+        rows = rows(seed)
+        spread = np.zeros((2 * rows.shape[0], rows.shape[1]), order="F")
+        spread[::2] = rows
+        config = MhConfig(iterations=200, burnin=100, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            draws = [_logistic_chain(layout, config)[0].tobytes()
+                     for layout in (rows, np.asfortranarray(rows), spread[::2])]
+        assert draws[1] == draws[0]
+        assert draws[2] == draws[0]
 
     def test_flat_prior_constant_cancels_in_acceptance(self, monkeypatch):
         # Adding a constant to the log target must leave every Metropolis
